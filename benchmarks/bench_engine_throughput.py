@@ -17,9 +17,9 @@ batch API:
   behaviour) and gated in CI;
 * **warm start** — a fresh engine loaded from a persisted warm state must
   answer the whole batch with *zero* compilations;
-* **kernel backends** (PR 6) — cold compile + decide under
-  ``NKAEngine(kernel="python")`` vs ``kernel="numpy"``: verdicts must be
-  identical and the vectorized cold compile at least 2× faster
+* **kernel backends** — cold compile + decide on the pure-python
+  oracle kernels vs the default vectorized (numpy) kernels: verdicts must
+  be identical and the vectorized cold compile at least 2× faster
   (``--check``); per-op vectorized/fallback counters land in the JSON;
 * **compile store** (PR 8) — two fresh engines sharing one
   content-addressed :class:`~repro.engine.store.CompileStore`: the first
@@ -316,12 +316,15 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
     # -- kernel backends: vectorized (numpy) vs the pure-python oracle -----
     # Cold compile is the kernel layer's target workload (ε-closure stars
     # dominate it); decide is reported alongside.  Rounds interleave the
-    # backends so a load spike cannot decide the compile gate.
+    # backends so a load spike cannot decide the compile gate.  The oracle
+    # has no public switch: the python rounds pin the kernel layer's
+    # private flag, as the ``python_kernel`` test fixture does.
     from repro.linalg import kernels as _kernels
 
-    kernel_backends = [
-        name for name, ok in _kernels.available_backends().items() if ok
-    ]
+    kernel_backends = ["python"]
+    if _kernels.backend_name() == "numpy":
+        kernel_backends.append("numpy")
+    vectorized_default = _kernels._vectorized
     kernel_best = {
         name: {"compile": float("inf"), "decide": float("inf"),
                "total": float("inf"), "stats": None, "verdicts": None}
@@ -336,16 +339,20 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         for backend in kernel_backends:
             _cold()
             _kernels.reset_kernel_stats()
-            with NKAEngine(f"bench-kernel-{backend}", kernel=backend) as candidate:
-                started = time.perf_counter()
-                for left, right in batch:
-                    candidate.compile(left)
-                    candidate.compile(right)
-                compile_seconds = time.perf_counter() - started
-                started = time.perf_counter()
-                candidate_verdicts = candidate.equal_many(batch)
-                decide_seconds = time.perf_counter() - started
-                stats = candidate.stats()
+            _kernels._vectorized = backend == "numpy"
+            try:
+                with NKAEngine(f"bench-kernel-{backend}") as candidate:
+                    started = time.perf_counter()
+                    for left, right in batch:
+                        candidate.compile(left)
+                        candidate.compile(right)
+                    compile_seconds = time.perf_counter() - started
+                    started = time.perf_counter()
+                    candidate_verdicts = candidate.equal_many(batch)
+                    decide_seconds = time.perf_counter() - started
+                    stats = candidate.stats()
+            finally:
+                _kernels._vectorized = vectorized_default
             best = kernel_best[backend]
             best["compile"] = min(best["compile"], compile_seconds)
             best["decide"] = min(best["decide"], decide_seconds)

@@ -167,11 +167,11 @@ def tzeng_equivalent(left: WFA, right: WFA) -> EquivalenceResult:
     # shape — the joint dimension after reachable-projection has median 4
     # on the engine benchmark, and at large dimensions Thompson-derived
     # matrices are so sparse (~2 entries/row) that the walk's
-    # zero-source skipping beats O(dim²)/O(nnz) C loops.  The vectorized
-    # wins in this procedure are the basis reduction
-    # (:class:`repro.linalg.RowSpace`, int64 fraction-free fast path) and
-    # the reachability projection in :class:`_TzengSide` — both routed
-    # through :mod:`repro.linalg.kernels` when the numpy backend is active.
+    # zero-source skipping beats O(dim²)/O(nnz) C loops.  The basis
+    # reduction (:class:`repro.linalg.RowSpace`) stays on python ints for
+    # the same reason: its int64 path lost ~8% on the ``all_pairs``
+    # benchmark (``src/repro/linalg/README.md``).  The reachability
+    # projection in :class:`_TzengSide` is the vectorized step here.
     basis = RowSpace(dim)
     queue: List[Tuple[IntVector, Tuple[str, ...]]] = []
     if basis.insert(start):

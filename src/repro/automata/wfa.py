@@ -57,7 +57,6 @@ __all__ = [
     "matrix_mul",
     "matrix_add",
     "expr_to_wfa",
-    "PARALLEL_EPSILON_MIN_STATES",
     "thompson_state_estimate",
     "infinity_support_nfa",
     "drop_infinite_weights",
@@ -301,15 +300,8 @@ def _shift_letters(
     return tuple((i + offset, a, j + offset) for i, a, j in fragment.letters)
 
 
-# Below this many Thompson states, splitting the ε-closure into parallel
-# blocks costs more in pipe traffic than one in-process star.
-PARALLEL_EPSILON_MIN_STATES = 64
-
-
 def expr_to_wfa(
-    expr: Expr,
-    extra_alphabet: FrozenSet[str] = frozenset(),
-    epsilon_block_executor=None,
+    expr: Expr, extra_alphabet: FrozenSet[str] = frozenset()
 ) -> WFA:
     """Compile an NKA expression to an ε-free WFA over ``N̄``.
 
@@ -321,16 +313,6 @@ def expr_to_wfa(
     and ``M'(a) = M(a)·C`` so that
     ``α'·M'(a1)…M'(ak)·η = α·C·M(a1)·C·…·M(ak)·C·η``, the sum over all runs
     interleaved with arbitrarily many ε-steps.
-
-    ``epsilon_block_executor`` enables *intra-expression* parallel
-    ε-elimination: for fragments of at least ``PARALLEL_EPSILON_MIN_STATES``
-    states the closure runs as
-    :meth:`repro.linalg.SparseMatrix.star_parallel` — the SCC-condensation's
-    independent diagonal blocks are starred by the executor (the engine
-    passes its worker pool's :meth:`~repro.engine.pool.WorkerPool.
-    run_star_blocks`) and recombined by exact block back-substitution.
-    The closure is unique in a complete star semiring, so the result is
-    identical to the sequential star for every executor.
 
     Subautomata are memoized: the Thompson fragment of every composite
     subterm is cached per interned node (see :class:`_Fragment`), so only
@@ -347,11 +329,7 @@ def expr_to_wfa(
     eps = SparseMatrix(n, n, EXT_NAT)
     for i, j in fragment.epsilon:
         eps.add_entry(i, j, ONE)
-    if epsilon_block_executor is not None and n >= PARALLEL_EPSILON_MIN_STATES:
-        closure = eps.star_parallel(epsilon_block_executor)
-    else:
-        closure = eps.star()
-    closure_rows = closure.rows
+    closure_rows = eps.star().rows
 
     initial = [ZERO] * n
     for j, value in closure_rows.get(start, {}).items():

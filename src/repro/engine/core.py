@@ -40,15 +40,10 @@ from itertools import product as _words_product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.equivalence import EquivalenceResult, wfa_equivalent
-from repro.automata.wfa import (
-    PARALLEL_EPSILON_MIN_STATES,
-    WFA,
-    expr_to_wfa,
-    thompson_state_estimate,
-)
+from repro.automata.wfa import WFA, expr_to_wfa
 from repro.core.expr import Expr, alphabet
 from repro.core.semiring import ExtNat
-from repro.engine.executor import MIN_TASKS_FOR_POOL, ExecutionReport, execute_tasks
+from repro.engine.executor import ExecutionReport, execute_tasks
 from repro.engine.planner import (
     IDENTICAL_RESULT,
     PlanStats,
@@ -100,14 +95,6 @@ class NKAEngine:
         start_method: multiprocessing start method for the pool (``fork``/
             ``spawn``/``forkserver``); default prefers ``fork``, overridable
             process-wide via ``REPRO_ENGINE_START_METHOD``.
-        kernel: linalg kernel backend for this session's compilations and
-            decisions (``"python"`` | ``"numpy"``, see
-            :mod:`repro.linalg.kernels`).  ``None`` (default) follows the
-            process-wide setting (``REPRO_KERNEL``); an explicit choice is
-            scoped around this engine's work and propagated to its pool
-            workers, and validated at construction.  Verdicts are
-            byte-identical across backends — the numpy kernels either
-            return the oracle's exact answer or decline to it.
         warm_state: a :class:`~repro.engine.persist.WarmState`, or a path to
             one, to preload the caches from.  Stale state (pipeline
             fingerprint mismatch) raises
@@ -156,7 +143,6 @@ class NKAEngine:
         result_capacity: int = 8192,
         workers: int = 1,
         start_method: Optional[str] = None,
-        kernel: Optional[str] = None,
         warm_state: Union[None, str, WarmState] = None,
         strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
@@ -181,9 +167,6 @@ class NKAEngine:
             process_registry().register(self._results)
         self.workers = max(1, int(workers))
         self._start_method = start_method
-        self._kernel = (
-            None if kernel is None else kernels.validate_backend(kernel)
-        )
         # The store module is imported only when a store is actually
         # configured: `python -m repro.engine.store` (the ops CLI) imports
         # this package — through the default engine built at `import repro`
@@ -236,8 +219,6 @@ class NKAEngine:
             self.load_warm_state(warm_state, strict=strict_warm_state)
 
     def _reset_lifetime_executor_stats(self) -> None:
-        self._parallel_compilations = 0
-        self._auto_parallel_compilations = 0
         self._store_hits = 0
         self._store_publishes = 0
         self._store_worker_hits = 0
@@ -278,8 +259,7 @@ class NKAEngine:
         served = self._store_lookup(expr)
         if served is not None:
             return served
-        with kernels.use_backend(self._kernel):
-            wfa = expr_to_wfa(expr)
+        wfa = expr_to_wfa(expr)
         with self._lock:
             self._compilations += 1
             self._wfa.put(expr, wfa)
@@ -320,59 +300,6 @@ class NKAEngine:
             with self._lock:
                 self._store_publishes += 1
 
-    def compile_parallel(self, expr: Expr, workers: Optional[int] = None) -> WFA:
-        """Compile one expression with intra-expression parallel ε-elimination.
-
-        The ε-closure of a large Thompson fragment dominates its compile
-        time; its SCC-condensation splits into independent diagonal blocks
-        whose stars this method runs concurrently on the engine's
-        persistent worker pool
-        (:meth:`~repro.engine.pool.WorkerPool.run_star_blocks`), with the
-        off-diagonal closure recombined exactly by block back-substitution
-        (:meth:`repro.linalg.SparseMatrix.star_parallel`).  The result is
-        identical to :meth:`compile` — closures are unique — and lands in
-        the same session cache; small fragments (below
-        ``repro.automata.wfa.PARALLEL_EPSILON_MIN_STATES`` states) degrade
-        to the sequential path automatically.
-        """
-        with self._lock:
-            cached = self._wfa.get(expr)
-            if cached is not None:
-                return cached
-        effective_workers = self.workers if workers is None else max(1, int(workers))
-        if effective_workers <= 1:
-            return self.compile(expr)
-        with self._exec_lock:
-            return self._compile_parallel_in_exec(expr, effective_workers)
-
-    def _compile_parallel_in_exec(
-        self, expr: Expr, workers: int, auto: bool = False
-    ) -> WFA:
-        """Body of :meth:`compile_parallel`; assumes ``_exec_lock`` is held.
-
-        Split out so batch execution can auto-route a dominant expression
-        through block ε-elimination from *inside* its own ``_exec_lock``
-        section — re-acquiring a non-reentrant lock would deadlock.
-        """
-        with self._lock:
-            cached = self._wfa.get(expr)
-            if cached is not None:
-                return cached
-        served = self._store_lookup(expr)
-        if served is not None:
-            return served
-        pool = self._ensure_pool(workers)
-        with kernels.use_backend(self._kernel):
-            wfa = expr_to_wfa(expr, epsilon_block_executor=pool.run_star_blocks)
-        with self._lock:
-            self._compilations += 1
-            self._parallel_compilations += 1
-            if auto:
-                self._auto_parallel_compilations += 1
-            self._wfa.put(expr, wfa)
-        self._store_publish(expr, wfa)
-        return wfa
-
     def equal_detailed(self, left: Expr, right: Expr) -> EquivalenceResult:
         """Decide ``⊢NKA left = right`` and report how it was decided.
 
@@ -396,8 +323,7 @@ class NKAEngine:
         if served is not None:
             self._record_verdict(left, right, served, direct=False)
             return served
-        with kernels.use_backend(self._kernel):
-            result = wfa_equivalent(self.compile(left), self.compile(right))
+        result = wfa_equivalent(self.compile(left), self.compile(right))
         self._record_verdict(left, right, result)
         return result
 
@@ -497,9 +423,8 @@ class NKAEngine:
                 self._results.put((left, right), result)
                 self._results.put((right, left), result)
             return result
-        with kernels.use_backend(self._kernel):
-            left_weight = self.compile(left).weight(witness)
-            right_weight = self.compile(right).weight(witness)
+        left_weight = self.compile(left).weight(witness)
+        right_weight = self.compile(right).weight(witness)
         if left_weight == right_weight:
             return None  # corrupted ledger state: decide directly instead
         result = EquivalenceResult(
@@ -624,51 +549,6 @@ class NKAEngine:
                 available.update(remaining[digest] for digest in present)
         return frozenset(available)
 
-    def _auto_parallel_candidates(
-        self, plan, workers: int
-    ) -> List[Expr]:
-        """Expressions a small batch should compile via block ε-elimination.
-
-        The executor sends batches below
-        :data:`~repro.engine.executor.MIN_TASKS_FOR_POOL` tasks down the
-        sequential path — correct for many small tasks, wasteful when one
-        expression above
-        :data:`~repro.automata.wfa.PARALLEL_EPSILON_MIN_STATES` states
-        carries at least half the plan's estimated compile cost: the
-        workers would idle while the parent grinds one giant ε-closure.
-        Those dominant expressions (at most two can clear the ½ bar) are
-        returned for pre-compilation through
-        :meth:`_compile_parallel_in_exec`; counted in
-        ``auto_parallel_compilations``.
-        """
-        if not plan.tasks or len(plan.tasks) >= MIN_TASKS_FOR_POOL:
-            return []
-        capped = workers
-        if os.environ.get("REPRO_ENGINE_OVERSUBSCRIBE") != "1":
-            capped = min(capped, os.cpu_count() or 1)
-        if capped <= 1:
-            return []
-        distinct: List[Expr] = []
-        seen = set()
-        for task in plan.tasks:
-            for expr in (task.left, task.right):
-                if expr not in seen:
-                    seen.add(expr)
-                    distinct.append(expr)
-        with self._lock:
-            pending = [expr for expr in distinct if expr not in self._wfa]
-        if not pending:
-            return []
-        with kernels.use_backend(self._kernel):
-            costs = {expr: _default_cost_estimate(expr) for expr in pending}
-            total = sum(costs.values())
-            return [
-                expr
-                for expr in pending
-                if costs[expr] * 2 >= total
-                and thompson_state_estimate(expr) >= PARALLEL_EPSILON_MIN_STATES
-            ]
-
     # -- batch API ---------------------------------------------------------
 
     def equal_many_detailed(
@@ -686,36 +566,25 @@ class NKAEngine:
         pairs = list(pairs)
         effective_workers = self.workers if workers is None else max(1, int(workers))
         plan_started = time.perf_counter()
-        # The planner's cost model is backend-aware (numpy stars carry a
-        # constant conversion overhead and a shallower slope), so planning
-        # runs under this session's kernel too.  With a compile store
-        # attached, expressions whose automata are already available —
-        # session cache or store — cost ~nothing, so ordering and chunking
-        # see the batch's *residual* work, not phantom compilations.
-        with kernels.use_backend(self._kernel):
-            cost_estimate = None
-            if self._store is not None:
-                available = self._batch_compiled_probe(pairs)
-                cost_estimate = cached_aware_cost_estimate(
-                    _default_cost_estimate, available.__contains__
-                )
-            plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
+        # With a compile store attached, expressions whose automata are
+        # already available — session cache or store — cost ~nothing, so
+        # ordering and chunking see the batch's *residual* work, not
+        # phantom compilations.
+        cost_estimate = None
+        if self._store is not None:
+            available = self._batch_compiled_probe(pairs)
+            cost_estimate = cached_aware_cost_estimate(
+                _default_cost_estimate, available.__contains__
+            )
+        plan = plan_batch(pairs, self._plan_lookup, cost_estimate=cost_estimate)
         plan_seconds = time.perf_counter() - plan_started
         with self._exec_lock:
-            for expr in self._auto_parallel_candidates(plan, effective_workers):
-                # A small batch dominated by one big compilation gains
-                # nothing from task-level workers (there is only one task
-                # that matters) — but its ε-elimination blocks parallelise.
-                # Pre-compiling here warms the cache the sequential
-                # executor path is about to read; verdicts are unaffected.
-                self._compile_parallel_in_exec(expr, effective_workers, auto=True)
-            with kernels.use_backend(self._kernel):
-                verdicts, report, warmback = execute_tasks(
-                    plan,
-                    effective_workers,
-                    sequential_decide=self._decide_into_caches,
-                    pool_provider=self._ensure_pool,
-                )
+            verdicts, report, warmback = execute_tasks(
+                plan,
+                effective_workers,
+                sequential_decide=self._decide_into_caches,
+                pool_provider=self._ensure_pool,
+            )
         # Merge in task-id order: deterministic cache state regardless of
         # scheduling (pool workers return verdicts in arbitrary order).
         # Tasks the pool's in-process fallback decided already went through
@@ -818,8 +687,7 @@ class NKAEngine:
         if served is not None:
             self._record_verdict(left, right, served, direct=False)
             return served
-        with kernels.use_backend(self._kernel):
-            result = wfa_equivalent(self.compile(left), self.compile(right))
+        result = wfa_equivalent(self.compile(left), self.compile(right))
         self._record_verdict(left, right, result)
         return result
 
@@ -850,11 +718,9 @@ class NKAEngine:
         """
         current_fingerprint = pipeline_fingerprint()
         with self._lock:
-            if self._pool is not None and (
-                self._pool.fingerprint != current_fingerprint
-                # A reconfigured kernel invalidates the pool the same way:
-                # its workers pinned the old backend at start-up.
-                or self._pool.kernel != self._kernel
+            if (
+                self._pool is not None
+                and self._pool.fingerprint != current_fingerprint
             ):
                 stale, self._pool = self._pool, None
                 self._pool_recycles += 1
@@ -875,7 +741,6 @@ class NKAEngine:
                 # Workers bound their compile memos the same way the
                 # parent bounds its WFA cache.
                 memo_capacity=self._wfa.maxsize,
-                kernel=self._kernel,
                 # Workers reopen the engine's store read-only: a cold
                 # worker on a second host starts warm from the fleet's
                 # published compilations.
@@ -907,7 +772,7 @@ class NKAEngine:
         could run inside that construction window, observe ``_pool is
         None``, reap nothing, and leak the about-to-be-installed workers.
         Under ``_exec_lock`` the close instead *waits for the running
-        batch* (or parallel compile) to finish, then reaps whatever pool
+        batch* to finish, then reaps whatever pool
         it installed.  ``WorkerPool.close`` is itself idempotent, so
         concurrent closers queue up harmlessly.
         """
@@ -1012,15 +877,10 @@ class NKAEngine:
         wfa_capacity: Optional[int] = None,
         result_capacity: Optional[int] = None,
         workers: Optional[int] = None,
-        kernel=_UNSET,
         infer_verdicts=_UNSET,
     ) -> None:
         """Resize caches (shrinking evicts LRU entries) / set default workers.
 
-        ``kernel`` rebinds the session's linalg backend (``None`` returns
-        to the process-wide setting); the next parallel batch recycles the
-        worker pool so workers re-pin the new backend.  Cached automata
-        and verdicts stay valid — every backend produces identical bytes.
         ``infer_verdicts`` toggles the ledger's transitive-inference tier
         mid-session; verdicts recorded while it was off are already in the
         ledger, so switching it on takes effect retroactively.
@@ -1032,10 +892,6 @@ class NKAEngine:
                 self._results.resize(result_capacity)
             if workers is not None:
                 self.workers = max(1, int(workers))
-            if kernel is not _UNSET:
-                self._kernel = (
-                    None if kernel is None else kernels.validate_backend(kernel)
-                )
             if infer_verdicts is not _UNSET:
                 self._infer_verdicts = bool(infer_verdicts)
 
@@ -1073,15 +929,8 @@ class NKAEngine:
                 "compilations": self._compilations,
                 "decisions": self._decisions,
                 "batches": self._batches,
-                "kernel": {
-                    # The session's configured override (None = follow the
-                    # process default) next to the process-wide counters —
-                    # pool workers keep their own process-local counters.
-                    "configured": self._kernel,
-                    "parallel_compilations": self._parallel_compilations,
-                    "auto_parallel_compilations": self._auto_parallel_compilations,
-                    **kernels.kernel_stats(),
-                },
+                # Process-wide: pool workers keep their own counters.
+                "kernel": kernels.kernel_stats(),
                 "store": None
                 if self._store is None
                 else {

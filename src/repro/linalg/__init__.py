@@ -16,17 +16,15 @@ The semiring protocol
 ---------------------
 
 All kernels are generic over :class:`repro.linalg.semiring.SemiringSpec`,
-a record of ``(zero, one, add, mul, is_zero, star)``.  Three instances
-cover the whole pipeline, which is the point — weighted, rational and
-Boolean reasoning are the *same algorithms* at different weights:
+a record of ``(zero, one, add, mul, is_zero, star)``.  Two instances
+cover the whole pipeline, which is the point — weighted and Boolean
+reasoning are the *same algorithms* at different weights:
 
 ===============  =====================================  =========================
 instance         coefficients                           used by
 ===============  =====================================  =========================
 ``EXT_NAT``      ``N̄`` (:class:`~repro.core.semiring.   ε-elimination & series
                  ExtNat`), complete star semiring       weights (``automata.wfa``)
-``FRACTION``     ``Q`` (:class:`fractions.Fraction`),   Tzeng equivalence
-                 star partial (undefined at 1)          (``automata.equivalence``)
 ``BOOL``         ``{0,1}``, star ≡ 1                    reachability / trimming
                                                         (``automata.nfa``, WFA)
 ===============  =====================================  =========================
@@ -52,15 +50,14 @@ Backend choice
   only when a non-integral vector appears.
 
 The pure-python kernels above are the *oracle*: total, exact over
-unbounded integers and ``∞``.  :mod:`repro.linalg.kernels` adds an opt-in
-**vectorized** backend (``REPRO_KERNEL=numpy`` or ``NKAEngine(kernel=
-"numpy")``) with numpy fast paths for the ``BOOL`` and finite-``EXT_NAT``
-hot loops (ε-closure stars, reachability bitsets, int64 RowSpace
-elimination).  Every vectorized kernel either returns the oracle's exact
-bytes or declines — ``∞`` weights, integers beyond the float64/int64
-exact ranges — back to the python code, so exactness (what makes the
-procedure a *decision* procedure) is never traded for speed; see
-``src/repro/linalg/README.md``.
+unbounded integers and ``∞``.  :mod:`repro.linalg.kernels` adds
+**vectorized** fast paths, on whenever numpy imports, for the ``BOOL``
+and finite-``EXT_NAT`` hot loops (ε-closure stars, matrix products,
+reachability and NFA-step bitsets).  Every vectorized kernel either
+returns the oracle's exact bytes or declines — ``∞`` weights, integers
+beyond the float64 exact range — back to the python code, so exactness
+(what makes the procedure a *decision* procedure) is never traded for
+speed; see ``src/repro/linalg/README.md``.
 
 Everything validates shapes eagerly and raises
 :class:`repro.util.errors.DecisionError` carrying the offending shapes —
@@ -90,7 +87,6 @@ from repro.linalg.rowspace import (
 from repro.linalg.semiring import (
     BOOL,
     EXT_NAT,
-    FRACTION,
     SemiringSpec,
     register_semiring,
     semiring_by_name,
@@ -109,7 +105,6 @@ __all__ = [
     "SemiringSpec",
     "EXT_NAT",
     "BOOL",
-    "FRACTION",
     "register_semiring",
     "semiring_by_name",
     "SparseMatrix",

@@ -1,14 +1,12 @@
-"""Pluggable semiring kernel backends for the linalg hot loops.
+"""Vectorized semiring kernels for the linalg hot loops.
 
 The decision pipeline is generic over a :class:`~repro.linalg.semiring.
 SemiringSpec`, and the pure-python dict-of-rows kernels in
-:mod:`repro.linalg.sparse` / :mod:`repro.linalg.rowspace` are the *oracle*:
-total, exact over unbounded integers and ``∞``, and the reference every
-other backend is differentially gated against.  This package adds a second,
-**vectorized** backend (:mod:`repro.linalg.kernels.numpy_backend`) for the
-two semirings that dominate compilation — ``BOOL`` and the finite part of
-``EXT_NAT`` — plus int64 fast paths for the Tzeng/RowSpace integer
-elimination.
+:mod:`repro.linalg.sparse` are the *oracle*: total, exact over unbounded
+integers and ``∞``, and the reference every fast path is differentially
+gated against.  This package adds **vectorized** fast paths
+(:mod:`repro.linalg.kernels.numpy_backend`) for the two semirings that
+dominate compilation — ``BOOL`` and the finite part of ``EXT_NAT``.
 
 Kernel protocol
 ---------------
@@ -18,40 +16,34 @@ exact result — bit-for-bit the value the oracle would produce — or
 **declines** by returning ``None``, and the caller runs the pure-python
 code unchanged.  A kernel must decline whenever exactness is not
 guaranteed: ``∞`` weights in the input, integers at risk of exceeding the
-float64/int64 exact ranges, semirings it does not know.  Declines are
-counted per operation and reason (:func:`kernel_stats`), so tests can
-*assert* that an overflow or ``∞`` input took the fallback path rather
-than trusting that it did.
+float64 exact range, semirings it does not know.  Declines are counted
+per operation and reason (:func:`kernel_stats`), so tests can *assert*
+that an overflow or ``∞`` input took the fallback path rather than
+trusting that it did.
 
-Backend selection is explicit, never inferred:
+Backend selection
+-----------------
 
-* process-wide default from the ``REPRO_KERNEL`` environment variable
-  (``python`` | ``numpy``; unset means ``python``, the oracle);
-* :func:`set_backend` / :func:`use_backend` switch it programmatically
-  (the benchmark harness compares both in one process);
-* per-engine via ``NKAEngine(kernel=...)``, which scopes the backend
-  around that session's compilations and propagates it to pool workers.
+There is nothing to select.  The fast paths are on whenever numpy
+imports, and the pure-python oracle answers everything they decline — or
+everything, when numpy is missing.  Answers are byte-identical either way,
+so no engine, tenant or environment setting chooses between them.  numpy
+is imported on the first kernel call, not at ``import repro``, so building
+an engine does not pay for the import.
 
-The chosen backend and all counters surface in ``engine.stats()["kernel"]``
-and in ``BENCH_engine.json``.
+The test suite reaches the oracle alone through the ``python_kernel``
+fixture (``tests/conftest.py``), which pins the private ``_vectorized``
+flag below for the duration of a ``with`` block.  The active backend and
+the per-op counters surface in ``engine.stats()["kernel"]``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.util.errors import DecisionError
-
 __all__ = [
-    "KernelBackendError",
-    "available_backends",
     "backend_name",
-    "validate_backend",
-    "set_backend",
-    "use_backend",
     "vectorized_active",
     "kernel_stats",
     "reset_kernel_stats",
@@ -64,13 +56,9 @@ __all__ = [
     "compile_cost_estimate",
 ]
 
-_ENV_VAR = "REPRO_KERNEL"
-
-BACKENDS = ("python", "numpy")
-
-
-class KernelBackendError(DecisionError):
-    """An unknown or unavailable kernel backend was requested."""
+# Whether the vectorized kernels run: ``None`` until the first kernel call
+# resolves it by importing numpy, then fixed for the process.
+_vectorized: Optional[bool] = None
 
 
 def _numpy_available() -> bool:
@@ -79,110 +67,17 @@ def _numpy_available() -> bool:
     return numpy_backend.available()
 
 
-def _validate(name: str) -> str:
-    if name not in BACKENDS:
-        raise KernelBackendError(
-            f"unknown kernel backend {name!r}; valid: {', '.join(BACKENDS)}"
-        )
-    if name == "numpy" and not _numpy_available():
-        raise KernelBackendError(
-            "kernel backend 'numpy' requested but numpy is not importable"
-        )
-    return name
-
-
-def validate_backend(name: str) -> str:
-    """Check ``name`` is a known, importable backend; returns it unchanged.
-
-    Raises :class:`KernelBackendError` otherwise.  Used by
-    ``NKAEngine(kernel=...)`` to fail at construction time instead of on
-    the first compile.
-    """
-    return _validate(name)
-
-
-def _initial_backend() -> str:
-    requested = os.environ.get(_ENV_VAR, "").strip() or "python"
-    try:
-        return _validate(requested)
-    except KernelBackendError:
-        # An import-time env problem must not make the package unusable;
-        # the pure-python oracle is always available.  The degraded choice
-        # is visible in kernel_stats()["env_backend_degraded"].
-        return "python"
-
-
-_backend: Optional[str] = None
-_env_degraded = False
-
-
-class _ThreadScope(threading.local):
-    """Per-thread stack of :func:`use_backend` overrides.
-
-    The override must be thread-local, not process-global: a multi-tenant
-    serving process runs several engines' batches on *threads*, each scoping
-    its own kernel around its compilations — a global set/restore pair would
-    let tenant A's ``use_backend("numpy")`` leak into tenant B's concurrent
-    compile (and B's restore could then clobber A's mid-batch).
-    """
-
-    def __init__(self):
-        self.stack = []
-
-
-_scope = _ThreadScope()
+def vectorized_active() -> bool:
+    """Whether the vectorized (numpy) fast paths run (imports numpy once)."""
+    global _vectorized
+    if _vectorized is None:
+        _vectorized = _numpy_available()
+    return _vectorized
 
 
 def backend_name() -> str:
-    """The backend active in *this thread* (``python`` or ``numpy``):
-    the innermost :func:`use_backend` override if any, else the
-    process-wide default."""
-    if _scope.stack:
-        return _scope.stack[-1]
-    global _backend, _env_degraded
-    if _backend is None:
-        requested = os.environ.get(_ENV_VAR, "").strip() or "python"
-        _backend = _initial_backend()
-        _env_degraded = _backend != requested
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Select the process-wide default backend; returns the previous default.
-
-    Thread-local :func:`use_backend` overrides are unaffected (and win over
-    the default for the threads holding them).
-    """
-    global _backend
-    if _backend is None:
-        backend_name()  # resolve the env-var default once, for the return
-    previous = _backend
-    _backend = _validate(name)
-    return previous
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Scope the backend to a ``with`` block **in the calling thread only**
-    (``None`` = leave unchanged).  Overrides nest; other threads — other
-    tenants' batches in a serving process — keep their own view."""
-    if name is None:
-        yield backend_name()
-        return
-    _scope.stack.append(_validate(name))
-    try:
-        yield name
-    finally:
-        _scope.stack.pop()
-
-
-def available_backends() -> Dict[str, bool]:
-    return {"python": True, "numpy": _numpy_available()}
-
-
-def vectorized_active() -> bool:
-    """Whether the vectorized (numpy) backend is the active one."""
-    return backend_name() == "numpy"
+    """``"numpy"`` when the fast paths run, else ``"python"`` (the oracle)."""
+    return "numpy" if vectorized_active() else "python"
 
 
 # -- counters ------------------------------------------------------------------
@@ -192,7 +87,7 @@ def vectorized_active() -> bool:
 # (the pure-python oracle then produced the answer).  Counters are
 # process-local: pool workers accumulate their own and the engine reports
 # the parent's.
-_OPS = ("star", "mul", "reachable", "rowspace", "nfa_successors")
+_OPS = ("star", "mul", "reachable", "nfa_successors")
 
 
 def _fresh_counters() -> Dict[str, Dict[str, Any]]:
@@ -247,7 +142,6 @@ def kernel_stats() -> Dict[str, Any]:
     return {
         "backend": backend_name(),
         "numpy_available": _numpy_available(),
-        "env_backend_degraded": _env_degraded,
         "ops": ops,
     }
 
@@ -314,15 +208,14 @@ def try_nfa_successors(nfa, letter: str, states) -> Optional[Any]:
 # numpy model is an affine rescale in the same units.
 
 
-def compile_cost_estimate(states: int, backend: Optional[str] = None) -> int:
+def compile_cost_estimate(states: int) -> int:
     """Relative compile cost of a ``states``-state Thompson fragment.
 
     Used by the engine planner for cheapest-first ordering and chunk
     budgets; calibrated against measured kernel timings (table above).
     """
     states = max(0, int(states))
-    name = backend or backend_name()
-    if name == "numpy":
+    if vectorized_active():
         # Affine model in "python state units": constant conversion
         # overhead (~7 states' worth) + shallower slope.
         return 7 + (states * 28) // 100

@@ -34,14 +34,13 @@ exploits the graph structure directly:
    back-substitution — a handful of BLAS products instead of ``n`` python
    row operations.
 
-Everything else (``mul``, reachability bitsets, the int64 Tzeng/RowSpace
-helpers in the callers) is a straightforward vectorization of the same
-oracle semantics.
+Everything else (``mul``, reachability and NFA-step bitsets) is a
+straightforward vectorization of the same oracle semantics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 try:  # the container bakes numpy in; gate anyway so the oracle never breaks
     import numpy as _np
@@ -73,11 +72,7 @@ _MAX_EXACT_FLOAT = float(MAX_EXACT_INT)
 STAR_MIN_STATES = 4
 MUL_MIN_CELLS = 1024
 REACHABLE_MIN_STATES = 64
-ROWSPACE_MIN_DIM = 64
 NFA_MIN_STATES = 64
-
-# int64 headroom for the RowSpace reduction overflow prechecks.
-_INT64_SAFE = (1 << 63) - 1
 
 # Back-substitution block width for the nilpotent closure.
 _STAR_BLOCK = 48
@@ -233,15 +228,72 @@ def _nilpotent_closure(strict_upper) -> Any:
     return closure
 
 
+def _scc_condensation(n: int, rows: Dict[int, Dict[int, Any]]) -> List[List[int]]:
+    """SCCs of the support digraph of ``rows``, in **topological order**.
+
+    Iterative Tarjan (no recursion limit risk at Thompson sizes).  Tarjan
+    emits components in reverse topological order of the condensation DAG,
+    so the returned list is the reversal: every support edge crosses from
+    an earlier component to a later one (or stays inside its component).
+    """
+    successors = {i: list(row) for i, row in rows.items()}
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: List[Tuple[int, int]] = [(root, 0)]
+        while work:
+            node, progress = work[-1]
+            if progress == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            descended = False
+            succ = successors.get(node, ())
+            for position in range(progress, len(succ)):
+                target = succ[position]
+                if index[target] == -1:
+                    work[-1] = (node, position + 1)
+                    work.append((target, 0))
+                    descended = True
+                    break
+                if on_stack[target] and index[target] < low[node]:
+                    low[node] = index[target]
+            if descended:
+                continue
+            if low[node] == index[node]:
+                component: List[int] = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+    components.reverse()
+    return components
+
+
 # -- kernels -------------------------------------------------------------------
 
 
 def star(matrix) -> Optional[Any]:
     """Vectorized ``matrix.star()``; ``None`` = caller runs the oracle.
 
-    The ``EXT_NAT`` path works on the SCC condensation: Tarjan (reused from
-    :meth:`SparseMatrix.scc_condensation`) classifies states as cyclic or
-    acyclic and yields a topological order; python-int bitset DP over the
+    The ``EXT_NAT`` path works on the SCC condensation: Tarjan
+    (:func:`_scc_condensation`) classifies states as cyclic or acyclic and
+    yields a topological order; python-int bitset DP over the
     condensation DAG computes each state's reach set and ∞-mask in
     ``O(states + edges)`` word operations; the only dense float work is the
     nilpotent closure of the acyclic submatrix — the actual path counting.
@@ -283,9 +335,7 @@ def star(matrix) -> Optional[Any]:
         if pruned:
             support_rows[i] = pruned
 
-    shell = SparseMatrix(n, n, matrix.semiring)
-    shell.rows = support_rows
-    components = shell.scc_condensation()
+    components = _scc_condensation(n, support_rows)
 
     comp_of = [0] * n
     cyclic_comp = [False] * len(components)
@@ -412,56 +462,6 @@ def mul(a, b) -> Optional[Any]:
         a.semiring,
         SparseMatrix,
     )
-
-
-def rowspace_entry(row: Sequence[int]) -> Optional[Tuple[Any, int]]:
-    """``(int64 array, abs-max)`` for a basis row, ``None`` if too wide."""
-    try:
-        arr = _np.asarray(row, dtype=_np.int64)
-    except OverflowError:
-        return None
-    return arr, int(_np.abs(arr).max(initial=0))
-
-
-def rowspace_reduce(
-    candidate: Sequence[int], pivots: Sequence[int], cache: Sequence
-) -> Optional[Any]:
-    """Fraction-free reduction of ``candidate`` against the cached basis.
-
-    Mirrors ``RowSpace._reduce_integer`` step for step; every update
-    ``v ← v·lead − coeff·row`` is prechecked with
-    ``max|v|·lead + |coeff|·max|row| ≤ int64 max`` (python-int arithmetic,
-    so the check itself cannot overflow).  Returns the int64 residue array
-    or ``None`` when any step risks overflow or a row is too wide — the
-    caller then reruns the whole reduction on unbounded python ints.
-    """
-    entry = rowspace_entry(candidate)
-    if entry is None:
-        return None
-    residue, residue_max = entry
-    for cached, pivot in zip(cache, pivots):
-        if cached is None:
-            return None
-        row_arr, row_max = cached
-        coeff = int(residue[pivot])
-        if coeff:
-            lead = int(row_arr[pivot])
-            if residue_max * abs(lead) + abs(coeff) * row_max > _INT64_SAFE:
-                return None
-            residue = residue * lead - coeff * row_arr
-            residue_max = int(_np.abs(residue).max(initial=0))
-    return residue
-
-
-def rowspace_combine(row_entry, norm_entry, coeff: int, lead: int) -> Optional[Any]:
-    """Back-substitution step ``row·lead − coeff·normalised`` (or ``None``)."""
-    if row_entry is None or norm_entry is None:
-        return None
-    row_arr, row_max = row_entry
-    norm_arr, norm_max = norm_entry
-    if row_max * abs(lead) + abs(coeff) * norm_max > _INT64_SAFE:
-        return None
-    return row_arr * lead - coeff * norm_arr
 
 
 def nfa_successors(nfa, letter: str, states: Iterable[int]) -> Optional[Any]:

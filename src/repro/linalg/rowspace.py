@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.util.errors import DecisionError
 
@@ -118,10 +118,6 @@ class RowSpace:
         self._rows: List[Vector] = []
         self._pivots: List[int] = []
         self._integer_mode = True
-        # Parallel int64-array cache for the vectorized integer path
-        # (entries are (array, abs-max) pairs, or None for rows whose
-        # values exceed int64).  Maintained lazily by _insert_integer.
-        self._np_cache: List[Any] = []
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -199,80 +195,24 @@ class RowSpace:
         self._demote_to_fractions()
         return self._insert_fraction(candidate)
 
-    def _use_numpy(self) -> bool:
-        from repro.linalg import kernels
-        from repro.linalg.kernels import numpy_backend
-
-        return (
-            self.dimension >= numpy_backend.ROWSPACE_MIN_DIM
-            and kernels.vectorized_active()
-            and numpy_backend.available()
-        )
-
-    def _sync_np_cache(self, numpy_backend) -> None:
-        while len(self._np_cache) < len(self._rows):
-            self._np_cache.append(
-                numpy_backend.rowspace_entry(self._rows[len(self._np_cache)])
-            )
-
     def _insert_integer(self, candidate: Sequence[int]) -> bool:
-        use_np = self._use_numpy()
-        residue: Optional[Sequence[int]] = None
-        if use_np:
-            from repro.linalg import kernels
-            from repro.linalg.kernels import numpy_backend
-
-            self._sync_np_cache(numpy_backend)
-            reduced = numpy_backend.rowspace_reduce(
-                candidate, self._pivots, self._np_cache
-            )
-            if reduced is not None:
-                kernels.record_vectorized("rowspace")
-                residue = reduced.tolist()
-            else:
-                kernels.record_fallback("rowspace", "overflow")
-        if residue is None:
-            residue = self._reduce_integer(candidate)
+        residue = self._reduce_integer(candidate)
         pivot = _first_nonzero(residue)
         if pivot is None:
             return False
         normalised = _gcd_normalise(residue, pivot)
         lead = normalised[pivot]
         # Back-substitute to keep every existing row zero at the new pivot.
-        norm_entry = None
-        if use_np:
-            self._sync_np_cache(numpy_backend)
-            norm_entry = numpy_backend.rowspace_entry(normalised)
         updated: List[Vector] = []
-        updated_cache: List[Any] = []
-        for index, (row, row_pivot) in enumerate(zip(self._rows, self._pivots)):
+        for row, row_pivot in zip(self._rows, self._pivots):
             coeff = row[pivot]
             if coeff:
-                mixed = None
-                if use_np:
-                    combined = numpy_backend.rowspace_combine(
-                        self._np_cache[index], norm_entry, coeff, lead
-                    )
-                    if combined is not None:
-                        mixed = combined.tolist()
-                if mixed is None:
-                    mixed = [a * lead - coeff * b for a, b in zip(row, normalised)]
+                mixed = [a * lead - coeff * b for a, b in zip(row, normalised)]
                 row = _gcd_normalise(mixed, row_pivot)
-                if use_np:
-                    updated_cache.append(numpy_backend.rowspace_entry(row))
-            elif use_np:
-                updated_cache.append(self._np_cache[index])
             updated.append(row)
         self._rows = updated
         self._rows.append(normalised)
         self._pivots.append(pivot)
-        if use_np:
-            updated_cache.append(norm_entry)
-            self._np_cache = updated_cache
-        else:
-            # Rows changed without the cache being maintained (backend
-            # inactive); drop it so a later vectorized insert rebuilds.
-            self._np_cache = []
         return True
 
     def _insert_fraction(self, candidate: Sequence[Scalar]) -> bool:

@@ -2,19 +2,17 @@
 
 A :class:`SemiringSpec` bundles the constants and operations the kernels in
 :mod:`repro.linalg.sparse` / :mod:`repro.linalg.dense` need; any coefficient
-type can be plugged in by describing it here.  Three instances cover every
+type can be plugged in by describing it here.  Two instances cover every
 weight domain the decision pipeline uses today:
 
 * :data:`EXT_NAT` — the paper's coefficient semiring ``N̄ = N ∪ {∞}``
   (:class:`repro.core.semiring.ExtNat`), a complete star semiring;
 * :data:`BOOL` — the Boolean semiring ``({0,1}, ∨, ∧)``; its matrices are
   adjacency relations and ``star`` is reflexive-transitive closure, which is
-  how NFA/DFA reachability becomes an instance of the same kernel;
-* :data:`FRACTION` — the field ``Q`` (:class:`fractions.Fraction`) used by
-  Tzeng's algorithm; its ``star`` is the geometric sum ``a* = 1/(1-a)``,
-  defined only for ``a ≠ 1`` (matrix star over ``Q`` is therefore partial —
-  the sparse kernel raises :class:`repro.util.errors.DecisionError` when the
-  recursion hits an undefined scalar star).
+  how NFA/DFA reachability becomes an instance of the same kernel.
+
+Tzeng's algorithm works over ``Q`` but needs no matrix kernel: its exact
+row spaces live in :mod:`repro.linalg.rowspace`.
 
 The protocol is deliberately *first-order* (plain callables, no abstract
 base class): kernels fetch ``add``/``mul`` once into locals, which keeps the
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from repro.core.semiring import ExtNat, INF, ONE, ZERO
@@ -43,7 +40,6 @@ __all__ = [
     "SemiringSpec",
     "EXT_NAT",
     "BOOL",
-    "FRACTION",
     "semiring_by_name",
     "register_semiring",
 ]
@@ -167,21 +163,3 @@ BOOL = _register(SemiringSpec(
     star=lambda value: True,
 ))
 """Boolean semiring; matrix star = reflexive-transitive closure."""
-
-
-def _fraction_star(value: Fraction) -> Fraction:
-    if value == 1:
-        raise DecisionError("Fraction star undefined at 1 (geometric sum diverges)")
-    return Fraction(1) / (Fraction(1) - value)
-
-
-FRACTION = _register(SemiringSpec(
-    name="Fraction",
-    zero=Fraction(0),
-    one=Fraction(1),
-    add=operator.add,
-    mul=operator.mul,
-    is_zero=lambda value: value == 0,
-    star=_fraction_star,
-))
-"""The field ``Q``; star is the geometric sum, partial (undefined at 1)."""

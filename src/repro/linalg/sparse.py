@@ -26,7 +26,7 @@ the offending shapes in the message (never ``IndexError``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.linalg import kernels
 from repro.linalg.semiring import SemiringSpec
@@ -380,158 +380,6 @@ class SparseMatrix:
         dstar_cf._paste(result.rows, half, 0)
         d_star.add(dstar_cf.mul(b).mul(d_star))._paste(result.rows, half, half)
         return result
-
-    # -- SCC-condensation star (intra-expression parallel ε-elimination) ----
-
-    def scc_condensation(self) -> List[List[int]]:
-        """SCCs of the support digraph, in **topological order**.
-
-        Iterative Tarjan (no recursion limit risk at Thompson sizes).
-        Tarjan emits components in reverse topological order of the
-        condensation DAG, so the returned list is the reversal: every
-        support edge crosses from an earlier component to a later one (or
-        stays inside its component).
-        """
-        n = self.nrows
-        successors = {i: list(row) for i, row in self.rows.items()}
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: List[int] = []
-        components: List[List[int]] = []
-        counter = 0
-        for root in range(n):
-            if index[root] != -1:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                node, progress = work[-1]
-                if progress == 0:
-                    index[node] = low[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack[node] = True
-                descended = False
-                succ = successors.get(node, ())
-                for position in range(progress, len(succ)):
-                    target = succ[position]
-                    if index[target] == -1:
-                        work[-1] = (node, position + 1)
-                        work.append((target, 0))
-                        descended = True
-                        break
-                    if on_stack[target] and index[target] < low[node]:
-                        low[node] = index[target]
-                if descended:
-                    continue
-                if low[node] == index[node]:
-                    component: List[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-        components.reverse()
-        return components
-
-    def _permuted(self, perm: Sequence[int]) -> "SparseMatrix":
-        """The matrix with rows/columns reordered so position ``p`` holds
-        original index ``perm[p]`` (square matrices only)."""
-        position = {original: p for p, original in enumerate(perm)}
-        result = SparseMatrix(self.nrows, self.ncols, self.semiring)
-        for i, row in self.rows.items():
-            result.rows[position[i]] = {position[j]: v for j, v in row.items()}
-        return result
-
-    def star_parallel(
-        self,
-        block_executor: Callable[[List["SparseMatrix"]], List[Optional["SparseMatrix"]]],
-        target_blocks: int = 4,
-    ) -> "SparseMatrix":
-        """``star()`` by SCC-condensation blocks, diagonal stars delegated.
-
-        The support digraph's condensation orders the states so the
-        permuted matrix is block upper triangular; consecutive components
-        coalesce into ~``target_blocks`` segments of balanced state count.
-        The diagonal blocks' stars are **independent** — they are handed to
-        ``block_executor`` as a list (the engine runs them concurrently on
-        its worker pool; any ``None`` in the reply is computed locally) —
-        and the off-diagonal closure follows by block back-substitution:
-        ``C_ii = A_ii*``, ``C_ij = C_ii · Σ_{l>i} A_il · C_lj``.
-
-        Exact in any complete star semiring, and equal to :meth:`star` by
-        the uniqueness of the closure; the result is independent of how the
-        executor scheduled the blocks.
-        """
-        if self.nrows != self.ncols:
-            raise DecisionError(
-                f"matrix star requires a square matrix, got "
-                f"({self.nrows}, {self.ncols})"
-            )
-        if not self.rows:
-            return SparseMatrix.identity(self.nrows, self.semiring)
-        components = self.scc_condensation()
-        if len(components) <= 1:
-            return self.star()
-        segments: List[List[int]] = []
-        budget = max(1, self.nrows // max(1, int(target_blocks)))
-        current: List[int] = []
-        for component in components:
-            current.extend(component)
-            if len(current) >= budget and len(segments) + 1 < target_blocks:
-                segments.append(current)
-                current = []
-        if current:
-            segments.append(current)
-        if len(segments) <= 1:
-            return self.star()
-        perm = [state for segment in segments for state in segment]
-        permuted = self._permuted(perm)
-        bounds: List[Tuple[int, int]] = []
-        offset = 0
-        for segment in segments:
-            bounds.append((offset, offset + len(segment)))
-            offset += len(segment)
-        diagonals = [permuted._submatrix(lo, hi, lo, hi) for lo, hi in bounds]
-        stars = list(block_executor(diagonals))
-        closed: Dict[Tuple[int, int], SparseMatrix] = {}
-        for b, starred in enumerate(stars):
-            closed[(b, b)] = starred if starred is not None else diagonals[b].star()
-        count = len(segments)
-        for i in range(count - 2, -1, -1):
-            row_lo, row_hi = bounds[i]
-            for j in range(i + 1, count):
-                col_lo, col_hi = bounds[j]
-                accum: Optional[SparseMatrix] = None
-                for mid in range(i + 1, j + 1):
-                    target = closed.get((mid, j))
-                    if target is None:
-                        continue  # an all-zero block contributes nothing
-                    mid_lo, mid_hi = bounds[mid]
-                    edge = permuted._submatrix(row_lo, row_hi, mid_lo, mid_hi)
-                    if not edge.rows:
-                        continue
-                    term = edge.mul(target)
-                    accum = term if accum is None else accum.add(term)
-                if accum is not None and accum.rows:
-                    block = closed[(i, i)].mul(accum)
-                    if block.rows:
-                        closed[(i, j)] = block
-        assembled = SparseMatrix(self.nrows, self.ncols, self.semiring)
-        for (i, j), block in closed.items():
-            block._paste(assembled.rows, bounds[i][0], bounds[j][0])
-        # Undo the permutation: original index perm[p] lives at position p.
-        inverse = [0] * self.nrows
-        for p, original in enumerate(perm):
-            inverse[original] = p
-        return assembled._permuted(inverse)
 
 
 # -- vector kernels ----------------------------------------------------------

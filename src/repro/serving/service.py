@@ -122,7 +122,6 @@ class TenantConfig:
     workers: int = 1
     wfa_capacity: int = 4096
     result_capacity: int = 8192
-    kernel: Optional[str] = None
     store: Union[None, bool, str, Any] = False
     infer_verdicts: Optional[bool] = None
     start_method: Optional[str] = None
@@ -135,7 +134,6 @@ class TenantConfig:
             result_capacity=self.result_capacity,
             workers=self.workers,
             start_method=self.start_method,
-            kernel=self.kernel,
             warm_state=self.warm_state,
             # Serving survives a stale warm snapshot by starting cold; a
             # hard failure at tenant-boot time helps nobody at 3am.

@@ -1,4 +1,4 @@
-"""Differential oracle: three engine configurations must agree byte-for-byte.
+"""Differential oracle: every engine configuration must agree byte-for-byte.
 
 Kappé–Silva–Wagemaker's survey point, operationalised: a decision-procedure
 implementation is only trustworthy if every execution strategy conforms to
@@ -11,9 +11,10 @@ persistent worker pool, this suite pins the conformance surface: a seeded
 (b) the **sequential** engine (the planner's in-process path), and
 (c) a **fresh no-cache** oracle (caches wiped before every single pair, so
     no state whatsoever carries between queries), and
-(d) the **vectorized-kernel** engine (``kernel="numpy"``, when numpy is
-    importable) — the fast paths of :mod:`repro.linalg.kernels` routed
-    through the same planner and sequential executor, and
+(d) the **pure-python kernel** engine (the ``python_kernel`` fixture of
+    ``tests/conftest.py``, ``workers=1``) — the oracle kernels that every
+    vectorized fast path of :mod:`repro.linalg.kernels` must reproduce,
+    routed through the same planner and sequential executor, and
 (e) a **store-served** engine (``store=``) answering entirely out of a
     :class:`~repro.engine.store.CompileStore` another engine populated —
     zero parent compilations, every automaton deserialized from disk,
@@ -36,6 +37,7 @@ import pytest
 from gen import random_pairs
 
 from repro.engine import NKAEngine
+from repro.linalg import kernels
 
 
 # Four seeded slices, 200 pairs total: varied alphabets/depths/star biases.
@@ -51,6 +53,10 @@ CORPUS_SPECS = (
 )
 
 CORPUS_SIZE = 200
+
+
+def _vectorized_ops():
+    return sum(op["vectorized"] for op in kernels.kernel_stats()["ops"].values())
 
 
 def _corpus():
@@ -90,8 +96,14 @@ def pooled_verdicts(corpus):
 @pytest.fixture(scope="module")
 def sequential_verdicts(corpus):
     """(b) The default in-process engine, one batch, worker count 1."""
+    before = _vectorized_ops()
     engine = NKAEngine("diff-sequential", workers=1)
-    return engine.equal_many_detailed(corpus, workers=1)
+    verdicts = engine.equal_many_detailed(corpus, workers=1)
+    if kernels.backend_name() == "numpy":
+        # The default run must actually have exercised a vectorized path —
+        # comparing it with the oracle kernels would otherwise prove nothing.
+        assert _vectorized_ops() > before, "no vectorized kernel engaged"
+    return verdicts
 
 
 @pytest.fixture(scope="module")
@@ -105,22 +117,17 @@ def nocache_verdicts(corpus):
     return verdicts
 
 
-@pytest.fixture(scope="module")
-def numpy_kernel_verdicts(corpus):
-    """(d) The vectorized backend: exact fast paths or recorded declines."""
-    from repro.linalg import kernels
+@pytest.fixture
+def python_kernel_verdicts(corpus, python_kernel):
+    """(d) The pure-python oracle kernels, no fast path anywhere.
 
-    if not kernels.available_backends()["numpy"]:
-        pytest.skip("numpy not importable")
-    kernels.reset_kernel_stats()
-    with NKAEngine("diff-numpy", kernel="numpy") as engine:
-        verdicts = engine.equal_many_detailed(corpus, workers=1)
-        stats = engine.stats()["kernel"]
-    assert stats["configured"] == "numpy"
-    # The corpus must actually have exercised a vectorized path — a suite
-    # that silently ran the oracle everywhere would prove nothing.
-    vectorized = sum(op["vectorized"] for op in stats["ops"].values())
-    assert vectorized > 0, f"no vectorized kernel engaged: {stats['ops']}"
+    Spawned pool workers would not see the fixture's patch, so the oracle
+    side runs in-process (``workers=1``)."""
+    before = _vectorized_ops()
+    with python_kernel(), NKAEngine("diff-python", workers=1) as engine:
+        verdicts = engine.equal_many_detailed(corpus)
+        assert engine.stats()["kernel"]["backend"] == "python"
+    assert _vectorized_ops() == before, "a fast path ran under the oracle"
     return verdicts
 
 
@@ -274,15 +281,16 @@ def test_sequential_equals_nocache_bytewise(sequential_verdicts, nocache_verdict
         )
 
 
-def test_numpy_kernel_equals_sequential_bytewise(
-    numpy_kernel_verdicts, sequential_verdicts
+def test_python_kernel_equals_sequential_bytewise(
+    python_kernel_verdicts, sequential_verdicts
 ):
-    """Vectorized kernels must be invisible in the answers — exact bytes."""
-    for index, (fast, sequential) in enumerate(
-        zip(numpy_kernel_verdicts, sequential_verdicts)
+    """Vectorized kernels must be invisible in the answers — exact bytes
+    against the oracle kernels."""
+    for index, (oracle, sequential) in enumerate(
+        zip(python_kernel_verdicts, sequential_verdicts)
     ):
-        assert pickle.dumps(fast) == pickle.dumps(sequential), (
-            f"pair #{index}: numpy-kernel {fast} != sequential {sequential}"
+        assert pickle.dumps(oracle) == pickle.dumps(sequential), (
+            f"pair #{index}: python-kernel {oracle} != sequential {sequential}"
         )
 
 

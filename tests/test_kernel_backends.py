@@ -1,4 +1,4 @@
-"""Differential gate for the vectorized (numpy) kernel backend.
+"""Differential gate for the vectorized (numpy) kernels.
 
 The kernel protocol (:mod:`repro.linalg.kernels`) promises that every
 vectorized fast path either returns **exactly** what the pure-python
@@ -6,18 +6,16 @@ oracle returns or declines back to it, and that declines are *observable*
 (per-op fallback counters).  This suite holds both promises to the flame:
 
 * operation-level parity on seeded random inputs — ``star``, ``mul``,
-  ``reachable``, NFA subset steps, ``RowSpace`` elimination, SCC
-  condensation and the parallel block star;
+  ``reachable`` and NFA subset steps;
 * boundary cases that MUST decline: ``∞`` weights, entries at/beyond the
   float64 exact-integer range (2⁵³), closures whose path counts overflow
-  it, int64 overflow in the fraction-free elimination — each asserted to
-  take the fallback path via :func:`repro.linalg.kernels.fallback_count`
-  *and* to produce the oracle's bytes anyway;
+  it — each asserted to take the fallback path via
+  :func:`repro.linalg.kernels.fallback_count` *and* to produce the
+  oracle's bytes anyway;
 * pipeline-level parity — the :mod:`tests.gen` property workload decided
-  under ``NKAEngine(kernel="python")`` vs ``kernel="numpy"``: verdicts
-  and counterexample words must be pickled-bytes-identical, and compiled
-  automata semantically equal (including via the engine's parallel
-  ε-elimination path).
+  by a default engine and by one under the ``python_kernel`` fixture
+  (``tests/conftest.py``): verdicts and counterexample words must be
+  pickled-bytes-identical, and compiled automata semantically equal.
 """
 
 import pickle
@@ -30,8 +28,8 @@ from gen import random_int_entries, random_pairs
 from repro.core.expr import Product, Star, Sum, Symbol
 from repro.core.semiring import ExtNat, INF, ONE
 from repro.engine import NKAEngine
-from repro.linalg import BOOL, EXT_NAT, RowSpace, SparseMatrix, kernels, reachable
-from repro.linalg.kernels import KernelBackendError, numpy_backend
+from repro.linalg import BOOL, EXT_NAT, SparseMatrix, kernels, reachable
+from repro.linalg.kernels import numpy_backend
 
 pytestmark = pytest.mark.skipif(
     not numpy_backend.available(), reason="numpy not importable"
@@ -62,128 +60,148 @@ def _chain_matrix(length, weight=2):
 
 
 class TestBackendSelection:
-    def test_python_is_the_default(self):
-        assert kernels.backend_name() in ("python", "numpy")
-        with kernels.use_backend("python"):
+    def test_numpy_is_the_default_when_importable(self):
+        assert kernels.backend_name() == "numpy"
+        assert kernels.vectorized_active()
+
+    def test_python_kernel_fixture_pins_and_restores(self, python_kernel):
+        with python_kernel():
+            assert kernels.backend_name() == "python"
             assert not kernels.vectorized_active()
+        assert kernels.backend_name() == "numpy"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-            kernels.validate_backend("cuda")
-        with pytest.raises(KernelBackendError):
-            NKAEngine("bad-kernel", kernel="cuda")
+    def test_numpy_loads_on_first_kernel_call_not_at_engine_construction(self):
+        """numpy's import is a start-up cost that ``import repro`` and
+        building an engine must not pay; the first compile does."""
+        import os
+        import subprocess
+        import sys
 
-    def test_use_backend_restores_previous(self):
-        before = kernels.backend_name()
-        with kernels.use_backend("numpy"):
-            assert kernels.backend_name() == "numpy"
-        assert kernels.backend_name() == before
+        probe = (
+            "import sys\n"
+            "from repro.engine import NKAEngine\n"
+            "from repro.core.expr import Star, Symbol\n"
+            "engine = NKAEngine()\n"
+            "print('numpy' in sys.modules)\n"
+            "engine.compile(Star(Star(Symbol('a'))))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
     def test_engine_stats_expose_kernel_section(self):
-        with NKAEngine("kernel-stats", kernel="numpy") as engine:
+        with NKAEngine("kernel-stats") as engine:
             a, b = Symbol("a"), Symbol("b")
             engine.equal(Star(Sum(a, b)), Star(Sum(b, a)))
             section = engine.stats()["kernel"]
-        assert section["configured"] == "numpy"
+        assert section["backend"] == "numpy"
         assert section["numpy_available"] is True
-        assert set(section["ops"]) == {
-            "star", "mul", "reachable", "rowspace", "nfa_successors"
-        }
+        assert set(section["ops"]) == {"star", "mul", "reachable", "nfa_successors"}
         for counts in section["ops"].values():
             assert counts["fallback_total"] == sum(counts["fallbacks"].values())
 
+    def test_default_engine_stats_report_numpy_and_count_compiles(self):
+        """A default engine reports the kernel that actually ran, and its
+        vectorized counter moves when a compile takes the fast path."""
+        a, b = Symbol("a"), Symbol("b")
+        with NKAEngine("kernel-report") as engine:
+            before = engine.stats()["kernel"]
+            engine.compile(Star(Product(Star(Sum(a, b)), Star(a))))
+            after = engine.stats()["kernel"]
+        assert before["backend"] == after["backend"] == "numpy"
+        assert "configured" not in after
+        assert after["ops"]["star"]["vectorized"] > before["ops"]["star"]["vectorized"]
+
 
 class TestStarParity:
-    def test_random_ext_nat_matrices_match_oracle(self):
+    def test_random_ext_nat_matrices_match_oracle(self, python_kernel):
         rng = random.Random(71)
         for _ in range(60):
             n = rng.randint(numpy_backend.STAR_MIN_STATES, 24)
             matrix = _ext_nat_matrix(rng, n, density=0.25, hi=3)
             if rng.random() < 0.5:
                 matrix.add_entry(rng.randrange(n), rng.randrange(n), ONE)
-            with kernels.use_backend("python"):
+            with python_kernel():
                 oracle = matrix.star()
-            with kernels.use_backend("numpy"):
-                fast = matrix.star()
+            fast = matrix.star()
             assert fast == oracle
         assert kernels.kernel_stats()["ops"]["star"]["vectorized"] > 0
 
-    def test_bool_star_matches_oracle(self):
+    def test_bool_star_matches_oracle(self, python_kernel):
         rng = random.Random(72)
         for _ in range(30):
             n = rng.randint(numpy_backend.STAR_MIN_STATES, 30)
             matrix = SparseMatrix(n, n, BOOL)
             for i, j, _ in random_int_entries(rng, n, n, 0.2, 1, 1):
                 matrix.add_entry(i, j, True)
-            with kernels.use_backend("python"):
+            with python_kernel():
                 oracle = matrix.star()
-            with kernels.use_backend("numpy"):
-                fast = matrix.star()
+            fast = matrix.star()
             assert fast == oracle
 
-    def test_infinite_weight_takes_fallback_and_matches(self):
+    def test_infinite_weight_takes_fallback_and_matches(self, python_kernel):
         rng = random.Random(73)
         matrix = _ext_nat_matrix(rng, 12, density=0.3, inf_fraction=0.2)
         matrix.add_entry(0, 1, INF)  # at least one ∞ guaranteed
         before = kernels.fallback_count("star", "infinite_weight")
-        with kernels.use_backend("numpy"):
-            fast = matrix.star()
+        fast = matrix.star()
         # The oracle's recursive block decomposition may re-enter try_star
         # on ∞-carrying sub-blocks, so the counter moves by at least one.
         assert kernels.fallback_count("star", "infinite_weight") > before
-        with kernels.use_backend("python"):
+        with python_kernel():
             assert fast == matrix.star()
 
-    def test_wide_entry_takes_fallback_and_matches(self):
+    def test_wide_entry_takes_fallback_and_matches(self, python_kernel):
         matrix = _chain_matrix(6)
         matrix.add_entry(2, 3, ExtNat(numpy_backend.MAX_EXACT_INT))
         before = kernels.fallback_count("star", "wide_weight")
-        with kernels.use_backend("numpy"):
-            fast = matrix.star()
+        fast = matrix.star()
         assert kernels.fallback_count("star", "wide_weight") > before
-        with kernels.use_backend("python"):
+        with python_kernel():
             assert fast == matrix.star()
 
-    def test_overflow_boundary_vectorizes_below_and_declines_above(self):
+    def test_overflow_boundary_vectorizes_below_and_declines_above(self, python_kernel):
         # 2^52 < 2^53: exactly representable, must vectorize and be exact.
         below = _chain_matrix(52)
-        with kernels.use_backend("numpy"):
-            fast = below.star()
+        fast = below.star()
         assert kernels.fallback_count("star", "overflow") == 0
         assert kernels.kernel_stats()["ops"]["star"]["vectorized"] == 1
         assert fast.get(0, 52) == ExtNat(2 ** 52)
         # 2^54 ≥ 2^53: the closure check must refuse the float64 result.
         above = _chain_matrix(54)
-        with kernels.use_backend("numpy"):
-            fast = above.star()
+        fast = above.star()
         assert kernels.fallback_count("star", "overflow") == 1
         assert fast.get(0, 54) == ExtNat(2 ** 54)  # oracle bytes anyway
-        with kernels.use_backend("python"):
+        with python_kernel():
             assert fast == above.star()
 
     def test_small_matrices_decline_below_threshold(self):
         tiny = SparseMatrix(2, 2, EXT_NAT)
         tiny.add_entry(0, 1, ONE)
-        with kernels.use_backend("numpy"):
-            starred = tiny.star()
+        starred = tiny.star()
         assert kernels.fallback_count("star", "below_threshold") == 1
         assert starred.get(0, 1) == ONE
 
 
 class TestMulReachableParity:
-    def test_large_mul_matches_oracle(self):
+    def test_large_mul_matches_oracle(self, python_kernel):
         rng = random.Random(74)
         n = 40  # 1600 cells ≥ MUL_MIN_CELLS
         a = _ext_nat_matrix(rng, n, density=0.15, hi=4)
         b = _ext_nat_matrix(rng, n, density=0.15, hi=4)
-        with kernels.use_backend("python"):
+        with python_kernel():
             oracle = a.mul(b)
-        with kernels.use_backend("numpy"):
-            fast = a.mul(b)
+        fast = a.mul(b)
         assert fast == oracle
         assert kernels.kernel_stats()["ops"]["mul"]["vectorized"] == 1
 
-    def test_reachable_matches_oracle_on_large_graphs(self):
+    def test_reachable_matches_oracle_on_large_graphs(self, python_kernel):
         rng = random.Random(75)
         for _ in range(10):
             n = rng.randint(numpy_backend.REACHABLE_MIN_STATES, 140)
@@ -191,10 +209,9 @@ class TestMulReachableParity:
             for i, j, _ in random_int_entries(rng, n, n, 0.02, 1, 1):
                 adjacency.add_entry(i, j, True)
             seeds = {s for s in range(n) if rng.random() < 0.05}
-            with kernels.use_backend("python"):
+            with python_kernel():
                 oracle = reachable(adjacency, set(seeds))
-            with kernels.use_backend("numpy"):
-                fast = reachable(adjacency, set(seeds))
+            fast = reachable(adjacency, set(seeds))
             assert fast == oracle
         assert kernels.kernel_stats()["ops"]["reachable"]["vectorized"] > 0
 
@@ -210,7 +227,7 @@ class TestNfaSuccessorsParity:
             )
         return nfa
 
-    def test_subset_steps_match_oracle(self):
+    def test_subset_steps_match_oracle(self, python_kernel):
         rng = random.Random(76)
         n = numpy_backend.NFA_MIN_STATES + 16
         nfa = self._random_nfa(rng, n)
@@ -219,94 +236,26 @@ class TestNfaSuccessorsParity:
                 s for s in range(n) if rng.random() < 0.2
             )
             letter = rng.choice(("a", "b"))
-            with kernels.use_backend("python"):
+            with python_kernel():
                 oracle = nfa.successors(states, letter)
-            with kernels.use_backend("numpy"):
-                fast = nfa.successors(states, letter)
+            fast = nfa.successors(states, letter)
             assert fast == oracle
         assert kernels.kernel_stats()["ops"]["nfa_successors"]["vectorized"] > 0
 
-    def test_add_transition_invalidates_bitset_cache(self):
+    def test_add_transition_invalidates_bitset_cache(self, python_kernel):
         rng = random.Random(77)
         n = numpy_backend.NFA_MIN_STATES + 8
         nfa = self._random_nfa(rng, n)
         states = frozenset(range(0, n, 3))
-        with kernels.use_backend("numpy"):
-            nfa.successors(states, "a")  # populate the bitset cache
-            nfa.add_transition(0, "a", n - 1)
-            after = nfa.successors(states, "a")
-        with kernels.use_backend("python"):
+        nfa.successors(states, "a")  # populate the bitset cache
+        nfa.add_transition(0, "a", n - 1)
+        after = nfa.successors(states, "a")
+        with python_kernel():
             nfa_fresh = self._random_nfa(random.Random(77), n)
             nfa_fresh.add_transition(0, "a", n - 1)
             oracle = nfa_fresh.successors(states, "a")
         assert after == oracle
         assert n - 1 in after  # the new edge is visible through the cache
-
-
-class TestRowSpaceParity:
-    def test_large_dimension_elimination_matches_oracle(self):
-        rng = random.Random(78)
-        dim = numpy_backend.ROWSPACE_MIN_DIM
-        fast, oracle = RowSpace(dim), RowSpace(dim)
-        for _ in range(dim + 10):
-            candidate = tuple(rng.randint(-5, 5) for _ in range(dim))
-            with kernels.use_backend("numpy"):
-                fast_verdict = fast.insert(candidate)
-            with kernels.use_backend("python"):
-                oracle_verdict = oracle.insert(candidate)
-            assert fast_verdict == oracle_verdict
-            assert fast.rank == oracle.rank
-        assert fast._rows == oracle._rows  # gcd-normalised, so bit-equal
-        assert kernels.kernel_stats()["ops"]["rowspace"]["vectorized"] > 0
-
-    def test_int64_overflow_takes_fallback_and_matches(self):
-        dim = numpy_backend.ROWSPACE_MIN_DIM
-        fast, oracle = RowSpace(dim), RowSpace(dim)
-        huge = 1 << 70  # beyond int64: rowspace_entry must refuse
-        first = (1,) * dim
-        second = (huge,) + (1,) * (dim - 1)
-        third = tuple(range(1, dim + 1))
-        for candidate in (first, second, third):
-            with kernels.use_backend("numpy"):
-                fast_verdict = fast.insert(candidate)
-            with kernels.use_backend("python"):
-                oracle_verdict = oracle.insert(candidate)
-            assert fast_verdict == oracle_verdict
-        assert kernels.fallback_count("rowspace", "overflow") >= 1
-        assert fast._rows == oracle._rows
-
-    def test_backend_toggle_between_inserts_stays_exact(self):
-        rng = random.Random(79)
-        dim = numpy_backend.ROWSPACE_MIN_DIM
-        mixed, oracle = RowSpace(dim), RowSpace(dim)
-        for step in range(dim // 2):
-            candidate = tuple(rng.randint(-4, 4) for _ in range(dim))
-            backend = "numpy" if step % 2 else "python"
-            with kernels.use_backend(backend):
-                mixed_verdict = mixed.insert(candidate)
-            with kernels.use_backend("python"):
-                oracle_verdict = oracle.insert(candidate)
-            assert mixed_verdict == oracle_verdict
-        assert mixed._rows == oracle._rows
-
-
-class TestParallelBlockStar:
-    def test_star_parallel_matches_star(self):
-        rng = random.Random(80)
-        for _ in range(15):
-            n = rng.randint(12, 50)
-            matrix = _ext_nat_matrix(rng, n, density=0.08, hi=2)
-            sequential = matrix.star()
-            parallel = matrix.star_parallel(
-                lambda blocks: [block.star() for block in blocks]
-            )
-            assert parallel == sequential
-
-    def test_executor_declines_are_computed_locally(self):
-        rng = random.Random(81)
-        matrix = _ext_nat_matrix(rng, 40, density=0.08, hi=2)
-        parallel = matrix.star_parallel(lambda blocks: [None] * len(blocks))
-        assert parallel == matrix.star()
 
 
 # One batch of the gen.py property workload, shared by the engine tests.
@@ -329,11 +278,13 @@ def pipeline_corpus():
 
 
 class TestEnginePipelineParity:
-    def test_verdicts_and_counterexamples_bytes_identical(self, pipeline_corpus):
-        with NKAEngine("kernel-py", kernel="python") as py_engine:
+    def test_verdicts_and_counterexamples_bytes_identical(
+        self, pipeline_corpus, python_kernel
+    ):
+        with python_kernel(), NKAEngine("kernel-py", workers=1) as py_engine:
             py_verdicts = py_engine.equal_many_detailed(pipeline_corpus)
         kernels.reset_kernel_stats()
-        with NKAEngine("kernel-np", kernel="numpy") as np_engine:
+        with NKAEngine("kernel-np") as np_engine:
             np_verdicts = np_engine.equal_many_detailed(pipeline_corpus)
             stats = np_engine.stats()["kernel"]
         for index, (oracle, fast) in enumerate(zip(py_verdicts, np_verdicts)):
@@ -344,51 +295,22 @@ class TestEnginePipelineParity:
         # The run must actually have exercised the vectorized paths.
         assert stats["ops"]["star"]["vectorized"] > 0
 
-    def test_compiled_automata_semantically_equal(self, pipeline_corpus):
+    def test_compiled_automata_semantically_equal(
+        self, pipeline_corpus, python_kernel
+    ):
         from repro.automata.wfa import expr_to_wfa
 
         exprs = {expr for pair in pipeline_corpus[:30] for expr in pair}
         for expr in exprs:
-            with kernels.use_backend("python"):
+            with python_kernel():
                 oracle = expr_to_wfa(expr)
-            with kernels.use_backend("numpy"):
-                fast = expr_to_wfa(expr)
+            fast = expr_to_wfa(expr)
             assert fast.num_states == oracle.num_states
             assert fast.initial == oracle.initial
             assert fast.final == oracle.final
             assert fast.matrices == oracle.matrices
 
-    def test_parallel_epsilon_elimination_matches_sequential(self):
-        from repro.automata.wfa import (
-            PARALLEL_EPSILON_MIN_STATES,
-            expr_to_wfa,
-            thompson_state_estimate,
-        )
-
-        a, b = Symbol("a"), Symbol("b")
-        big = a
-        while thompson_state_estimate(big) < PARALLEL_EPSILON_MIN_STATES:
-            big = Star(Sum(Product(big, b), a))
-        sequential = expr_to_wfa(big)
-        import os
-
-        previous = os.environ.get("REPRO_ENGINE_OVERSUBSCRIBE")
-        os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = "1"
-        try:
-            with NKAEngine("kernel-par", kernel="numpy", workers=2) as engine:
-                parallel = engine.compile_parallel(big, workers=2)
-                assert engine.stats()["kernel"]["parallel_compilations"] == 1
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_ENGINE_OVERSUBSCRIBE", None)
-            else:
-                os.environ["REPRO_ENGINE_OVERSUBSCRIBE"] = previous
-        assert parallel.num_states == sequential.num_states
-        assert parallel.initial == sequential.initial
-        assert parallel.final == sequential.final
-        assert parallel.matrices == sequential.matrices
-
-    def test_infinity_heavy_expressions_agree(self):
+    def test_infinity_heavy_expressions_agree(self, python_kernel):
         # {{1*}}[ε] = ∞ and friends: the ∞-support machinery must agree
         # across backends even though the vectorized star *produces* ∞
         # weights (cyclic ε-components) rather than declining on them.
@@ -400,19 +322,18 @@ class TestEnginePipelineParity:
             (Star(Sum(One(), a)), Star(a)),
             (Product(Star(One()), a), Product(a, Star(One()))),
         ]
-        with NKAEngine("inf-py", kernel="python") as py_engine:
+        with python_kernel(), NKAEngine("inf-py", workers=1) as py_engine:
             oracle = py_engine.equal_many_detailed(pairs)
-        with NKAEngine("inf-np", kernel="numpy") as np_engine:
+        with NKAEngine("inf-np") as np_engine:
             fast = np_engine.equal_many_detailed(pairs)
         assert [pickle.dumps(v) for v in oracle] == [pickle.dumps(v) for v in fast]
 
 
 class TestThreadSafety:
-    """Regression (serving satellite): the kernel layer is process-global
-    state read by ``engine.stats()`` from serving threads while *other*
-    threads compile.  Both tests fail on the pre-PR module — the counter
-    hammer with ``RuntimeError: dictionary changed size during iteration``,
-    the backend test by observing another thread's ``use_backend`` leak."""
+    """Regression: the kernel counters are process-global state read by
+    ``engine.stats()`` from serving threads while *other* threads compile.
+    An unlocked snapshot fails the counter hammer with ``RuntimeError:
+    dictionary changed size during iteration``."""
 
     def test_kernel_stats_snapshot_survives_concurrent_fallbacks(self):
         import threading
@@ -481,58 +402,3 @@ class TestThreadSafety:
         decider.join(60)
         poller.join(60)
         assert not errors, f"stats() raced equal_detailed: {errors[0]}"
-
-    def test_use_backend_is_thread_local(self):
-        import threading
-
-        if not numpy_backend.available():
-            pytest.skip("numpy backend unavailable")
-        default = kernels.backend_name()
-        observed = {}
-        inside = threading.Barrier(2, timeout=10)
-        sampled = threading.Barrier(2, timeout=10)
-
-        def overriding_thread():
-            with kernels.use_backend("numpy" if default == "python" else "python"):
-                inside.wait()   # override active…
-                sampled.wait()  # …while the other thread samples
-
-        def sampling_thread():
-            inside.wait()
-            observed["other"] = kernels.backend_name()
-            sampled.wait()
-
-        threads = [
-            threading.Thread(target=overriding_thread),
-            threading.Thread(target=sampling_thread),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        assert observed["other"] == default, (
-            "use_backend leaked across threads: one tenant's kernel choice "
-            "must never change another tenant's concurrent compile"
-        )
-        assert kernels.backend_name() == default
-
-    def test_set_backend_still_moves_the_process_default(self):
-        """set_backend stays process-wide (the serving default); only
-        use_backend scopes per-thread."""
-        import threading
-
-        if not numpy_backend.available():
-            pytest.skip("numpy backend unavailable")
-        previous = kernels.set_backend("numpy")
-        try:
-            seen = {}
-
-            def sample():
-                seen["worker"] = kernels.backend_name()
-
-            thread = threading.Thread(target=sample)
-            thread.start()
-            thread.join(10)
-            assert seen["worker"] == "numpy"
-        finally:
-            kernels.set_backend(previous)
