@@ -15,8 +15,9 @@ batch API:
   through the warm-back channel; a second distinct batch on a warm pool
   is compared against forcing a fresh pool per batch (the PR 4
   behaviour) and gated in CI;
-* **warm start** — a fresh engine loaded from a persisted warm state must
-  answer the whole batch with *zero* compilations;
+* **warm start** — a fresh engine mounting a store another engine
+  exported its caches into must answer the whole batch with *zero*
+  compilations;
 * **kernel backends** — cold compile + decide on the pure-python
   oracle kernels vs the default vectorized (numpy) kernels: verdicts must
   be identical and the vectorized cold compile at least 2× faster
@@ -423,17 +424,18 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         "mode": second_batch["fresh_fork"]["mode"],
     }
 
-    # Warm start: persist the first engine's caches, reload into a fresh
-    # session, answer the whole batch again.
-    import tempfile, os
+    # Warm start: export the first engine's caches into a store directory,
+    # mount it from a fresh session, answer the whole batch again.  The
+    # timed batch reads its verdicts from disk (nothing is preloaded).
+    import tempfile, os, shutil
+    from repro.engine.store import describe_store
 
-    state_descriptor, state_path = tempfile.mkstemp(suffix=".nka-warm")
-    os.close(state_descriptor)  # save_warm_state replaces the file atomically
-    warm_source.save_warm_state(state_path)
+    warm_root = tempfile.mkdtemp(suffix=".nka-warm")
+    warm_source.export_to_store(warm_root)
     warm_seconds = float("inf")
     warmed = warm_verdicts = None
     for _ in range(rounds):
-        candidate = NKAEngine("bench-warm", warm_state=state_path)
+        candidate = NKAEngine("bench-warm", store=warm_root)
         started = time.perf_counter()
         candidate_verdicts = candidate.equal_many(batch)
         seconds = time.perf_counter() - started
@@ -445,10 +447,10 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
         "speedup_vs_pr3": round(baseline_seconds / warm_seconds, 2),
         "compilations": warm_stats["compilations"],
         "planner": warm_stats["planner"],
-        "state_bytes": os.path.getsize(state_path),
+        "state_bytes": describe_store(warm_root)["bytes"],
     }
     verdicts_by_config["warm"] = warm_verdicts
-    os.unlink(state_path)
+    shutil.rmtree(warm_root, ignore_errors=True)
 
     # -- compile store: fleet-wide warm reuse (PR 8 tentpole) ---------------
     # Two fresh engines against one shared CompileStore directory: the
@@ -458,8 +460,6 @@ def run_suite(total_pairs, workers_sweep, json_path=None, check=False, rounds=3)
     # are timed on the same compile-loop + equal_many shape as the kernel
     # section, best-of-rounds per metric, store wiped before each cold
     # round so a round never rides the previous round's publishes.
-    import shutil
-
     store_root = tempfile.mkdtemp(suffix=".nka-store")
     store_best = {
         label: {"compile": float("inf"), "decide": float("inf"),

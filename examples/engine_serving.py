@@ -24,8 +24,9 @@ now sits on top, :class:`repro.serving.NKAService`:
 6. **graceful drain** — ``close()`` answers everything admitted, then
    reaps every tenant engine (no leaked pool workers).
 
-The engine-level levers underneath (persistent worker pools, warm-state
-snapshots, the content-addressed compile store, the verdict ledger) are
+The engine-level levers underneath (persistent worker pools, the
+content-addressed compile store and warm start by exporting into it, the
+verdict ledger) are
 walked through in ``benchmarks/bench_engine_throughput.py`` and
 ``src/repro/engine/README.md``.
 """

@@ -35,7 +35,7 @@ Serving / batch workloads::
     from repro import NKAEngine
     engine = NKAEngine("session", workers=4)
     engine.equal_many(pairs)                  # planned, deduped, parallel
-    engine.save_warm_state("warm.pickle")     # cross-process warm start
+    engine.export_to_store("nka-store")       # warm start: NKAEngine(store=...)
 """
 
 from repro.core import (

@@ -365,8 +365,8 @@ def verify_rules(
     ``precompile_encodings=True`` compiles each rule's two encodings into
     ``engine``'s cache (the process default when omitted) while the
     catalogue is validated, and a later
-    :meth:`~repro.engine.NKAEngine.save_warm_state` captures them for the
-    next process.  Leave it off when no such follow-up traffic exists —
+    :meth:`~repro.engine.NKAEngine.export_to_store` publishes them for
+    the next process.  Leave it off when no such follow-up traffic exists —
     the compilation is real up-front work.
     """
     if precompile_encodings:

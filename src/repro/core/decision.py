@@ -53,8 +53,8 @@ differently-sized caches — construct their own
 :class:`~repro.engine.NKAEngine`; for batches, the engine's planner dedupes
 by interned identity and :meth:`~repro.engine.NKAEngine.equal_many` can run
 the batch on process workers, and
-:meth:`~repro.engine.NKAEngine.save_warm_state` /
-``NKAEngine(warm_state=…)`` persist the caches across processes for
+:meth:`~repro.engine.NKAEngine.export_to_store` /
+``NKAEngine(store=…)`` persist the caches across processes for
 serve-mode warm start.
 """
 

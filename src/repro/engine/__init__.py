@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`NKAEngine` — a session owning its compile/verdict caches, with a
-  query planner, parallel batch execution, persistent warm start and
-  unified metrics (:mod:`repro.engine.core`);
+  query planner, parallel batch execution, warm start through the compile
+  store (:meth:`NKAEngine.export_to_store`) and unified metrics
+  (:mod:`repro.engine.core`);
 * :func:`default_engine` — the process-wide session backing the classic
   :mod:`repro.core.decision` module-level API;
 * the persistent worker pool — :class:`~repro.engine.pool.WorkerPool`:
@@ -12,15 +13,15 @@ Public surface:
   worker death or pipeline-fingerprint change, returning compile results
   over a warm-back channel that feeds the parent's WFA cache
   (:mod:`repro.engine.pool`);
-* the persistence layer — :class:`WarmState`, :func:`pipeline_fingerprint`,
-  :class:`WarmStateError` / :class:`StaleWarmStateError`,
-  :func:`describe_warm_state` (:mod:`repro.engine.persist`);
-* the shared compile store — :class:`~repro.engine.store.CompileStore`, a
-  content-addressed directory of compiled automata that many engines,
-  processes and hosts read/write concurrently (``NKAEngine(store=...)`` /
-  ``REPRO_COMPILE_STORE``), with :func:`describe_store` / :func:`gc_store`
-  and a ``python -m repro.engine.store`` ops CLI
-  (:mod:`repro.engine.store`);
+* content addressing — :func:`pipeline_fingerprint` and
+  :class:`WarmStateError` (:mod:`repro.engine.persist`);
+* the shared compile store, the one persistence mechanism —
+  :class:`~repro.engine.store.CompileStore`, a content-addressed directory
+  of compiled automata, verdicts and an exported verdict-ledger snapshot
+  that many engines, processes and hosts read/write concurrently
+  (``NKAEngine(store=...)`` / ``REPRO_COMPILE_STORE``), with
+  :func:`describe_store` / :func:`gc_store` and a
+  ``python -m repro.engine.store`` ops CLI (:mod:`repro.engine.store`);
 * the verdict tier — :class:`~repro.engine.verdicts.VerdictLedger`, a
   union–find over proven-equal expressions with a per-class refutation
   index; with ``NKAEngine(infer_verdicts=True)`` (or
@@ -38,10 +39,10 @@ Typical serve-mode use::
     with NKAEngine("serving", workers=4) as engine:
         verdicts = engine.equal_many(batch_of_pairs)  # planned + pooled
         more = engine.equal_many(next_batch)          # same warm workers
-        engine.save_warm_state("nka-warm.pickle")     # incl. warm-back
+        engine.export_to_store("nka-store")           # incl. warm-back
     # pool workers joined and reaped here
     ...
-    with NKAEngine("serving", warm_state="nka-warm.pickle") as engine:
+    with NKAEngine("serving", store="nka-store") as engine:
         verdicts = engine.equal_many(batch_of_pairs)  # zero compilations
 
 See ``examples/engine_serving.py`` for the full walkthrough and
@@ -50,15 +51,7 @@ See ``examples/engine_serving.py`` for the full walkthrough and
 
 from repro.engine.core import NKAEngine, default_engine, words_up_to
 from repro.engine.executor import ExecutionReport, decide_pure
-from repro.engine.persist import (
-    StaleWarmStateError,
-    WarmState,
-    WarmStateError,
-    describe_warm_state,
-    load_warm_state,
-    pipeline_fingerprint,
-    save_warm_state,
-)
+from repro.engine.persist import WarmStateError, pipeline_fingerprint
 from repro.engine.planner import (
     BatchPlan,
     PlannedQuery,
@@ -83,7 +76,6 @@ _STORE_EXPORTS = (
     "CompileStore",
     "describe_store",
     "gc_store",
-    "open_default_store",
     "verdict_pair_key",
 )
 
@@ -112,18 +104,12 @@ __all__ = [
     "CompileStore",
     "describe_store",
     "gc_store",
-    "open_default_store",
     "verdict_pair_key",
     "VerdictLedger",
     "VerdictContradictionError",
     "INFERRED_EQUAL_REASON",
     "inferred_refuted_reason",
     "is_inferred_reason",
-    "WarmState",
     "WarmStateError",
-    "StaleWarmStateError",
     "pipeline_fingerprint",
-    "save_warm_state",
-    "load_warm_state",
-    "describe_warm_state",
 ]

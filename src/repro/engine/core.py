@@ -17,9 +17,10 @@ What an engine adds over the bare pipeline:
   cheapest-first and grouped by shared subexpressions;
 * **parallel batch execution** (:mod:`repro.engine.executor`) — planned
   tasks run on process workers, verdicts merging back deterministically;
-* **persistent warm start** (:mod:`repro.engine.persist`) — caches
-  serialize to a fingerprint-versioned on-disk state, so a fresh process
-  answers a known workload with zero compilations;
+* **warm start through the compile store** (:mod:`repro.engine.store`) —
+  :meth:`NKAEngine.export_to_store` publishes the caches and the verdict
+  ledger, so a fresh process mounting that store answers a known workload
+  with zero compilations;
 * **metrics** — :meth:`NKAEngine.stats` unifies cache counters, planner
   dedupe ratios and executor timings into one JSON-dumpable report.
 
@@ -52,19 +53,12 @@ from repro.engine.planner import (
     plan_batch,
 )
 from repro.engine.pool import WorkerPool
-from repro.engine.persist import (
-    StaleWarmStateError,
-    WarmState,
-    expr_digest,
-    load_warm_state,
-    make_warm_state,
-    pipeline_fingerprint,
-    save_warm_state,
-)
+from repro.engine.persist import expr_digest, pipeline_fingerprint
 from repro.engine.verdicts import (
     INFERRED_EQUAL_REASON,
     VerdictLedger,
     inferred_refuted_reason,
+    is_inferred_reason,
 )
 from repro.linalg import kernels
 from repro.util.cache import CacheRegistry, LRUCache, process_registry
@@ -95,11 +89,6 @@ class NKAEngine:
         start_method: multiprocessing start method for the pool (``fork``/
             ``spawn``/``forkserver``); default prefers ``fork``, overridable
             process-wide via ``REPRO_ENGINE_START_METHOD``.
-        warm_state: a :class:`~repro.engine.persist.WarmState`, or a path to
-            one, to preload the caches from.  Stale state (pipeline
-            fingerprint mismatch) raises
-            :class:`~repro.engine.persist.StaleWarmStateError` unless
-            ``strict_warm_state=False``, which falls back to a cold start.
         store: a shared :class:`~repro.engine.store.CompileStore` (or a
             directory path to open one at) consulted on every compile-cache
             miss and fed by every fresh compilation — including the pool's
@@ -107,9 +96,13 @@ class NKAEngine:
             engines across processes and hosts compiles each expression
             once.  ``None`` (default) follows ``REPRO_COMPILE_STORE``;
             pass ``store=False`` to disable the store even when the
-            environment variable is set.  Store failures of any kind are
-            counted, never raised: an engine without its store is merely
-            colder.
+            environment variable is set.  Mounting a store is also how an
+            engine warm-starts from another one's
+            :meth:`export_to_store`: automata and verdicts are read on
+            demand, and the exported verdict-ledger snapshot is restored
+            once, additively, the first time the ledger is consulted.
+            Store failures of any kind are counted, never raised: an
+            engine without its store is merely colder.
         infer_verdicts: enable the verdict ledger's *transitive inference*
             tier: equivalence is a congruence, so ``a≡b ∧ b≡c`` answers
             ``a≡c`` with zero compiles and zero Tzeng runs, and
@@ -143,8 +136,6 @@ class NKAEngine:
         result_capacity: int = 8192,
         workers: int = 1,
         start_method: Optional[str] = None,
-        warm_state: Union[None, str, WarmState] = None,
-        strict_warm_state: bool = True,
         store: Union[None, bool, str, CompileStore] = None,
         infer_verdicts: Optional[bool] = None,
         cache_namespace: Optional[str] = None,
@@ -196,6 +187,8 @@ class NKAEngine:
         # toggling inference on mid-session); it is only *consulted* when
         # inference is enabled.
         self._ledger = VerdictLedger(capacity=max(1024, 8 * result_capacity))
+        # Whether the store's ledger snapshot was restored (see _mount_ledger).
+        self._ledger_mounted = False
         self._pool: Optional[WorkerPool] = None
         self._lock = threading.RLock()
         # Serialises batch execution: the pool's shared queues carry one
@@ -205,18 +198,12 @@ class NKAEngine:
         self._compilations = 0
         self._decisions = 0
         self._batches = 0
-        self._warm_wfas = 0
-        self._warm_verdicts = 0
-        self._warm_classes = 0
-        self._warm_refutations = 0
         self._plan_totals = PlanStats()
         self._plan_seconds = 0.0
         self._execute_seconds = 0.0
         self._last_batch: Optional[Dict[str, object]] = None
         self._reset_lifetime_executor_stats()
         self._reset_verdict_stats()
-        if warm_state is not None:
-            self.load_warm_state(warm_state, strict=strict_warm_state)
 
     def _reset_lifetime_executor_stats(self) -> None:
         self._store_hits = 0
@@ -407,6 +394,7 @@ class NKAEngine:
         """
         if not self._infer_verdicts:
             return None
+        self._mount_ledger()
         with self._lock:
             inferred = self._ledger.infer(left, right)
         if inferred is None:
@@ -636,7 +624,7 @@ class NKAEngine:
         with self._lock:
             # Warm-back merge: worker-compiled automata join this session's
             # cache (bounded by the LRU, deduped by interned node) so the
-            # next batch — and save_warm_state — see the parallel batch's
+            # next batch — and export_to_store — see the parallel batch's
             # compilations exactly as if the parent had done the work.
             merged, skipped = self._wfa.merge_items(warmback, skip_existing=True)
             self._warmback_returned += len(warmback)
@@ -856,14 +844,11 @@ class NKAEngine:
         with self._lock:
             self.registry.clear(reset_stats=reset_stats)
             self._ledger.clear()
+            self._ledger_mounted = False
             if reset_stats:
                 self._compilations = 0
                 self._decisions = 0
                 self._batches = 0
-                self._warm_wfas = 0
-                self._warm_verdicts = 0
-                self._warm_classes = 0
-                self._warm_refutations = 0
                 self._plan_totals = PlanStats()
                 self._plan_seconds = 0.0
                 self._execute_seconds = 0.0
@@ -954,12 +939,6 @@ class NKAEngine:
                     "published": self._verdict_store_publishes,
                     **self._ledger.stats(),
                 },
-                "warm_start": {
-                    "wfas_loaded": self._warm_wfas,
-                    "verdicts_loaded": self._warm_verdicts,
-                    "classes_loaded": self._warm_classes,
-                    "refutations_loaded": self._warm_refutations,
-                },
                 "warm_back": {
                     "returned": self._warmback_returned,
                     "merged": self._warmback_merged,
@@ -987,10 +966,32 @@ class NKAEngine:
         """:meth:`stats` as a JSON document (for the benchmark harness)."""
         return json.dumps(self.stats(), indent=indent, sort_keys=True)
 
-    # -- warm-start persistence --------------------------------------------
+    # -- warm start through the store ----------------------------------------
 
-    def warm_state(self) -> WarmState:
-        """Snapshot this session's caches as a portable warm state."""
+    def export_to_store(self, store: Union[str, "CompileStore"]) -> Dict[str, object]:
+        """Publish this session's caches into a compile store (a directory
+        path or a :class:`~repro.engine.store.CompileStore`).
+
+        Every cached automaton goes through ``publish_many`` and every
+        cached verdict through ``publish_verdicts`` (entries already
+        present are skipped; inferred verdicts stay out of the store, as
+        on every other path — the ledger snapshot carries what they were
+        inferred from).  The verdict ledger is written as one snapshot
+        entry after merging in the snapshot the store already holds, so an
+        export never loses ledger knowledge.  A fresh
+        ``NKAEngine(store=...)`` on the same directory then answers the
+        exported workload with zero compilations and zero planner tasks.
+
+        Returns the automata and verdicts written and whether the ledger
+        snapshot landed (``False`` when the store cannot be written).
+        """
+        from repro.engine.store import CompileStore
+
+        target = CompileStore(store) if isinstance(store, str) else store
+        if target is self._store:
+            self._mount_ledger()
+        else:
+            self._restore_ledger(target)
         with self._lock:
             wfas = self._wfa.items()
             verdict_items = self._results.items()
@@ -998,77 +999,40 @@ class NKAEngine:
         verdicts = []
         emitted = set()
         for (left, right), result in verdict_items:
-            if (right, left) in emitted:
-                continue  # symmetric twin of an already-kept entry
+            if (right, left) in emitted or is_inferred_reason(result.reason):
+                continue  # symmetric twin of a kept entry, or inferred
             emitted.add((left, right))
-            verdicts.append(((left, right), result))
-        return make_warm_state(
-            wfas=wfas,
-            verdicts=verdicts,
-            verdict_classes=classes,
-            verdict_refutations=refutations,
-            meta={
-                "engine": self.name,
-                "wfa_entries": len(wfas),
-                "verdict_entries": len(verdicts),
-                "equivalence_classes": len(classes),
-                "refutation_entries": len(refutations),
-                # Provenance: how much of the compile cache arrived over the
-                # pool's warm-back channel rather than parent compilation —
-                # a parallel warm-up persists its workers' compilations too.
-                "warmback_merged": self._warmback_merged,
-                "parent_compilations": self._compilations,
-            },
-        )
+            verdicts.append((expr_digest(left), expr_digest(right), result))
+        return {
+            "wfas": target.publish_many(wfas),
+            "verdicts": target.publish_verdicts(verdicts),
+            "ledger": target.publish_ledger(classes, refutations),
+        }
 
-    def save_warm_state(self, path: str) -> str:
-        """Serialize the caches to ``path`` for cross-process warm start."""
-        return save_warm_state(self.warm_state(), path)
-
-    def load_warm_state(
-        self, state: Union[str, WarmState], strict: bool = True
-    ) -> bool:
-        """Preload the caches from a snapshot (path or in-memory state).
-
-        Returns whether anything was loaded.  Stale or invalid state raises
-        (see :func:`repro.engine.persist.load_warm_state`) unless ``strict``
-        is false, in which case the engine simply stays cold.  The pipeline
-        fingerprint is checked for in-memory snapshots too — a ``WarmState``
-        received over RPC or unpickled by the caller is no more trustworthy
-        than a file.
-        """
-        if isinstance(state, str):
-            try:
-                loaded = load_warm_state(state, strict=strict)
-            except Exception:
-                if strict:
-                    raise
-                loaded = None
-            if loaded is None:
-                return False
-            state = loaded
-        elif state.fingerprint != pipeline_fingerprint():
-            if strict:
-                raise StaleWarmStateError(
-                    f"in-memory warm state was produced by pipeline "
-                    f"{state.fingerprint[:12]}…, this process is "
-                    f"{pipeline_fingerprint()[:12]}…; recompile cold and re-save"
-                )
-            return False
-        classes = getattr(state, "verdict_classes", [])
-        refutations = getattr(state, "verdict_refutations", [])
+    def _mount_ledger(self) -> None:
+        """Restore the attached store's ledger snapshot once per ledger
+        lifetime (construction, or :meth:`clear`), on first need — so
+        constructing an engine touches no disk."""
+        if self._ledger_mounted:
+            return
         with self._lock:
-            for expr, wfa in state.wfas:
-                self._wfa.put(expr, wfa)
-                self._warm_wfas += 1
-            for (left, right), result in state.verdicts:
-                self._results.put((left, right), result)
-                self._results.put((right, left), result)
-                self._warm_verdicts += 1
-            self._ledger.restore(classes, refutations)
-            self._warm_classes += len(classes)
-            self._warm_refutations += len(refutations)
-        return bool(state.wfas or state.verdicts or classes or refutations)
+            if self._ledger_mounted:
+                return
+            self._ledger_mounted = True
+        if self._store is not None:
+            self._restore_ledger(self._store)
+
+    def _restore_ledger(self, store: "CompileStore") -> None:
+        """Merge a store's ledger snapshot into this session's (additive;
+        never raises — a bad snapshot only leaves the ledger colder)."""
+        try:
+            snapshot = store.get_ledger()
+            if snapshot is not None:
+                with self._lock:
+                    self._ledger.restore(*snapshot)
+        except Exception:
+            with self._lock:
+                self._store_errors += 1
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

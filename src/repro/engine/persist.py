@@ -1,27 +1,18 @@
-"""Persistent warm-start state for :class:`repro.engine.NKAEngine`.
+"""Content addressing for persisted engine artefacts.
 
-A long-lived serving process answers most queries out of the compile and
-verdict caches; a *freshly started* process answers nothing until it has
-recompiled the working set.  This module closes that gap: an engine can
-serialize its caches to an on-disk **warm state**
-(:meth:`repro.engine.NKAEngine.save_warm_state`) and a new process — or a
-new engine session in the same process — can start from it
-(``NKAEngine(warm_state=...)``), answering the same workload with zero
-compilations.
-
-Format and staleness
---------------------
-
-The state is a single pickle (expressions re-intern on load — see the
-hash-consing contract of :mod:`repro.core.expr` — and sparse matrices
-re-attach their canonical semiring instances by name).  Every state embeds a
-**pipeline fingerprint**: a hash over the source of each module whose
-behaviour the cached artefacts depend on (expression interning, the
+A compiled WFA and an equivalence verdict depend only on the expressions
+they were computed from — and on the code that computed them.  This module
+names both halves: :func:`expr_digest` is a Merkle digest of an interned
+expression, stable across processes and hosts, and
+:func:`pipeline_fingerprint` is a hash over the source of every module
+whose behaviour the artefacts depend on (expression interning, the
 Thompson construction, ε-elimination, Tzeng, the sparse kernels) plus a
-format version.  Loading checks the fingerprint first and rejects stale
-state with :class:`StaleWarmStateError` — a WFA compiled by an older
-pipeline must never masquerade as a fresh one, and a clean typed error lets
-a serving wrapper fall back to a cold start and rebuild the state.
+format version.  The compile store (:mod:`repro.engine.store`) keys every
+entry by the pair, so an artefact produced by another pipeline is never
+served as a fresh one.  Warm start is a store mount: an engine exports its
+caches with :meth:`repro.engine.NKAEngine.export_to_store` and a new
+process answers the same workload from ``NKAEngine(store=...)`` with zero
+compilations.
 
 Nothing in this module runs at import time: fingerprints are computed on
 first use, so ``import repro`` stays free of disk I/O.
@@ -32,67 +23,22 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
-import pickle
-import tempfile
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.automata.equivalence import EquivalenceResult
-from repro.automata.wfa import WFA
 from repro.core.expr import Expr, One, Product, Star, Sum, Symbol, Zero
 from repro.util.cache import LRUCache
 
 __all__ = [
     "PERSIST_FORMAT",
-    "PICKLE_PROTOCOL",
-    "WarmState",
     "WarmStateError",
-    "StaleWarmStateError",
     "pipeline_fingerprint",
     "expr_digest",
-    "dumps_artifact",
-    "loads_artifact",
-    "make_warm_state",
-    "save_warm_state",
-    "load_warm_state",
-    "describe_warm_state",
 ]
 
-# Format 2: WarmState grew the verdict-ledger fields (equivalence classes
-# + refutation witnesses).  The constant participates in the pipeline
-# fingerprint, so every format-1 state and store tree is cleanly stale —
-# never half-loaded with the ledger missing.
+# Format 2: persisted artefacts grew the verdict-ledger snapshot.  The
+# constant participates in the pipeline fingerprint, so every format-1
+# store tree is cleanly stale.
 PERSIST_FORMAT = 2
-
-# The one pickling contract for every persisted compile artefact: the warm
-# state (this module) and the content-addressed compile store
-# (:mod:`repro.engine.store`) must serialize identically, or a WFA written
-# by one tier could fail to round-trip through the other.
-PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-
-def dumps_artifact(obj: Any) -> bytes:
-    """Serialize a persisted artefact under the shared pickling contract."""
-    return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
-
-
-def loads_artifact(data: bytes) -> Any:
-    """Deserialize persisted bytes, mapping every decode failure to
-    :class:`WarmStateError` — callers never see raw pickle internals."""
-    try:
-        return pickle.loads(data)
-    except (
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ImportError,
-        IndexError,
-        MemoryError,
-        TypeError,
-        ValueError,
-    ) as error:
-        raise WarmStateError(f"persisted artefact is not decodable: {error}") from error
 
 # Modules whose source determines the meaning of persisted artefacts.  A
 # change to any of them (new node layout, different ε-elimination, a Tzeng
@@ -200,157 +146,5 @@ def expr_digest(expr: Expr) -> str:
 
 
 class WarmStateError(RuntimeError):
-    """A warm-state file is unreadable or structurally invalid."""
-
-
-class StaleWarmStateError(WarmStateError):
-    """A warm-state file was produced by a different pipeline version.
-
-    Deliberately a distinct type: serving wrappers catch it to fall back to
-    a cold start (and typically rebuild the state), while a corrupt file —
-    plain :class:`WarmStateError` — usually deserves louder handling.
-    """
-
-
-@dataclass
-class WarmState:
-    """A portable snapshot of an engine's compile and verdict caches.
-
-    ``wfas`` holds ``(expression, compiled automaton)`` pairs;
-    ``verdicts`` holds one entry per *unordered* expression pair (the
-    loading engine restores both orientations).  Entries are ordered
-    least- to most-recently used so that replaying them through ``put``
-    reproduces the source engine's eviction order.
-
-    ``verdict_classes`` and ``verdict_refutations`` round-trip the
-    engine's verdict ledger (:mod:`repro.engine.verdicts`): the size-≥2
-    equivalence classes (members digest-sorted) and the
-    ``(repr_a, repr_b, witness)`` refutation triples between class
-    representatives, exactly the deterministic shape
-    :meth:`VerdictLedger.snapshot` produces — so a warm reload restores
-    the transitive-inference tier, not just the flat caches.
-    """
-
-    fingerprint: str
-    wfas: List[Tuple[Expr, WFA]]
-    verdicts: List[Tuple[Tuple[Expr, Expr], EquivalenceResult]]
-    created_at: float = 0.0
-    meta: Dict[str, Any] = field(default_factory=dict)
-    verdict_classes: List[List[Expr]] = field(default_factory=list)
-    verdict_refutations: List[Tuple[Expr, Expr, Tuple[str, ...]]] = field(
-        default_factory=list
-    )
-
-
-def save_warm_state(state: WarmState, path: str) -> str:
-    """Atomically write ``state`` to ``path`` (tmp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    descriptor, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".warmstate-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(dumps_artifact(state))
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def _read_state(path: str) -> WarmState:
-    """Read and structurally validate a warm-state file (no staleness check).
-
-    The shared front half of :func:`load_warm_state` and
-    :func:`describe_warm_state`: both must map unreadable/malformed files
-    to :class:`WarmStateError` identically.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise WarmStateError(f"cannot read warm state {path!r}: {error}") from error
-    try:
-        state = loads_artifact(data)
-    except WarmStateError as error:
-        raise WarmStateError(
-            f"warm state {path!r} is not a valid snapshot: {error}"
-        ) from error
-    if not isinstance(state, WarmState):
-        raise WarmStateError(
-            f"warm state {path!r} holds {type(state).__name__}, expected WarmState"
-        )
-    return state
-
-
-def load_warm_state(path: str, strict: bool = True) -> Optional[WarmState]:
-    """Read and validate a warm state.
-
-    Raises :class:`StaleWarmStateError` when the embedded fingerprint does
-    not match this process's :func:`pipeline_fingerprint` (or returns
-    ``None`` when ``strict`` is false — the cold-start fallback), and
-    :class:`WarmStateError` for unreadable or malformed files.
-    """
-    state = _read_state(path)
-    current = pipeline_fingerprint()
-    if state.fingerprint != current:
-        if not strict:
-            return None
-        raise StaleWarmStateError(
-            f"warm state {path!r} was produced by pipeline "
-            f"{state.fingerprint[:12]}…, this process is {current[:12]}…; "
-            "recompile cold and re-save"
-        )
-    return state
-
-
-def describe_warm_state(path: str) -> Dict[str, Any]:
-    """Inspect a warm-state file without loading it into an engine.
-
-    Returns fingerprint (+ whether it matches this process), entry counts,
-    creation time, file size, and the saving engine's meta — which, since
-    the pool's warm-back channel, records how much of the compile cache
-    came from pool workers (``warmback_merged``) versus the parent
-    (``parent_compilations``).  For ops tooling: a serving wrapper can
-    decide whether a state is worth shipping to a replica before paying
-    the full load.  Raises :class:`WarmStateError` for unreadable files
-    but does *not* reject stale fingerprints — staleness is part of the
-    description.
-    """
-    state = _read_state(path)
-    return {
-        "path": path,
-        "bytes": os.path.getsize(path),
-        "fingerprint": state.fingerprint,
-        "fresh": state.fingerprint == pipeline_fingerprint(),
-        "wfa_entries": len(state.wfas),
-        "verdict_entries": len(state.verdicts),
-        "equivalence_classes": len(getattr(state, "verdict_classes", [])),
-        "refutation_entries": len(getattr(state, "verdict_refutations", [])),
-        "created_at": state.created_at,
-        "meta": dict(state.meta),
-    }
-
-
-def make_warm_state(
-    wfas: List[Tuple[Expr, WFA]],
-    verdicts: List[Tuple[Tuple[Expr, Expr], EquivalenceResult]],
-    meta: Optional[Dict[str, Any]] = None,
-    verdict_classes: Optional[List[List[Expr]]] = None,
-    verdict_refutations: Optional[
-        List[Tuple[Expr, Expr, Tuple[str, ...]]]
-    ] = None,
-) -> WarmState:
-    """Assemble a snapshot stamped with the current fingerprint."""
-    return WarmState(
-        fingerprint=pipeline_fingerprint(),
-        wfas=wfas,
-        verdicts=verdicts,
-        created_at=time.time(),
-        meta=dict(meta or {}),
-        verdict_classes=list(verdict_classes or []),
-        verdict_refutations=list(verdict_refutations or []),
-    )
+    """Persisted state cannot be trusted: an artefact does not decode, or
+    the pipeline cannot be fingerprinted."""

@@ -17,7 +17,7 @@ exactly backwards — batches arrive continuously, and the expensive artefact
   most once while it stays in the worker's tables), and the owning engine
   merges them into its bounded WFA cache, deduped by interned node — so a
   parallel batch warms the *parent* exactly like a sequential one, and
-  ``save_warm_state`` after a parallel warm-up captures the full working
+  ``export_to_store`` after a parallel warm-up captures the full working
   set.
 
 Failure model

@@ -1,11 +1,14 @@
-"""Content-addressed shared compile store: fleet-wide warm compilation reuse.
+"""Content-addressed shared compile store: the one persistence mechanism.
 
-The warm state of :mod:`repro.engine.persist` is a *session* artefact — one
-engine snapshots its caches into one file, one engine reloads it.  A fleet
-of replicas (many engines, many processes, many hosts mounting one shared
-directory) needs the dual: a **store** that every engine reads and writes
-concurrently, so the first replica to compile an expression serves every
-other replica, forever, across process and host boundaries.
+Every engine artefact that outlives a process lives here.  A fleet of
+replicas (many engines, many processes, many hosts mounting one shared
+directory) reads and writes the store concurrently, so the first replica
+to compile an expression serves every other replica, forever, across
+process and host boundaries.  Warm start is the same mechanism:
+:meth:`repro.engine.NKAEngine.export_to_store` publishes an engine's
+cached automata and verdicts plus a snapshot of its verdict ledger, and a
+fresh ``NKAEngine(store=...)`` answers the exported workload with zero
+compilations — from disk, through the same lookups a replica uses.
 
 Addressing
 ----------
@@ -29,6 +32,7 @@ entry).  On disk::
         index                        scan-free eviction index (append-only)
         <digest[:2]>/<digest>.wfa    one entry file per expression digest
         <dA[:2]>/<dA>-<dB>.verdict   one entry per decided digest pair
+        ledger                       verdict-ledger snapshot (export only)
 
 Writes are **atomic**: the payload is written to a ``.tmp-*`` file in the
 fingerprint directory and ``os.replace``d into place (``fsync`` optional),
@@ -41,9 +45,8 @@ walking the tree.
 Corruption and staleness discipline
 -----------------------------------
 
-Reads reuse the :class:`~repro.engine.persist.WarmStateError` family's
-stance with one difference in tone: in the *store*, a torn, undecodable,
-misaddressed or stale entry is **silently a miss** — counted in
+In the store, a torn, undecodable, misaddressed or stale entry is
+**silently a miss** — counted in
 ``corrupt_skipped``, best-effort unlinked, and recompiled — never an
 exception and never a wrong WFA.  A store is a cache of recomputable
 artefacts; refusing service over one bad file would make the whole fleet's
@@ -57,12 +60,12 @@ Lookup caches
 
 Each :class:`CompileStore` handle keeps an in-process **positive** cache
 (digest → WFA, a bounded LRU — mostly for several engines sharing one
-handle) and a **negative** cache (digest → monotonic timestamp): a recent
-miss is trusted for ``negative_ttl`` seconds before the disk is probed
-again, so a batch that misses an expression does not stat the same path
-hundreds of times, while a publish from another process becomes visible at
-most one TTL later.  A local publish invalidates the negative entry
-immediately.
+handle) and a **probe** cache (key → ``(present, monotonic timestamp)``):
+a recent stat or miss is trusted for ``negative_ttl`` seconds before the
+disk is probed again, so a batch that misses an expression does not stat
+the same path hundreds of times, while a publish from another process
+becomes visible at most one TTL later.  A local publish records the key
+present immediately.
 
 Eviction
 --------
@@ -75,9 +78,8 @@ directory scan.  Publishes that push the running byte estimate over
 ``max_bytes`` trigger an eviction opportunistically.
 
 Ops tooling: ``python -m repro.engine.store describe <dir>`` and
-``... gc <dir> [--max-bytes N] [--keep-stale]`` mirror
-:func:`~repro.engine.persist.describe_warm_state` for directory stores —
-entry counts, bytes, fingerprint freshness, stale-version cleanup.
+``... gc <dir> [--max-bytes N] [--keep-stale]`` — entry counts, bytes,
+ledger presence, fingerprint freshness, stale-version cleanup.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
+import shutil
 import tempfile
 import threading
 import time
@@ -94,21 +98,16 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.automata.equivalence import EquivalenceResult
 from repro.automata.wfa import WFA
 from repro.core.expr import Expr
-from repro.engine.persist import (
-    WarmStateError,
-    dumps_artifact,
-    expr_digest,
-    loads_artifact,
-    pipeline_fingerprint,
-)
+from repro.engine.persist import WarmStateError, expr_digest, pipeline_fingerprint
 from repro.util.cache import LRUCache
 
 __all__ = [
     "STORE_FORMAT",
     "CompileStore",
     "describe_store",
+    "dumps_artifact",
     "gc_store",
-    "open_default_store",
+    "loads_artifact",
     "verdict_pair_key",
 ]
 
@@ -116,20 +115,50 @@ STORE_FORMAT = 1
 
 _MAGIC = "nka-compile-store"
 _VERDICT_MAGIC = "nka-verdict-store"
+_LEDGER_MAGIC = "nka-verdict-ledger"
 
-# Environment variable naming a store root every engine should share by
-# default (see repro.engine.NKAEngine): one knob turns a whole fleet warm.
-ENV_STORE_ROOT = "REPRO_COMPILE_STORE"
-
-# How long a negative lookup (digest known absent) is trusted before the
-# disk is probed again.  Long enough to de-duplicate probes within a batch,
-# short enough that another replica's publish is picked up promptly.
+# How long a probe result (key known present or absent) is trusted before
+# the disk is probed again.  Long enough to de-duplicate probes within a
+# batch, short enough that another replica's publish is picked up promptly.
 NEGATIVE_TTL_SECONDS = 2.0
 
+# Bound of the in-process positive (decoded artefact) cache; the probe
+# cache holds up to four times as many keys.
+LOOKUP_CACHE_SIZE = 4096
+_PROBE_CAP = 4 * LOOKUP_CACHE_SIZE
+
 _INDEX_NAME = "index"
+_LEDGER_NAME = "ledger"  # also its index key: no digest has this length
 _ENTRY_SUFFIX = ".wfa"
 _VERDICT_SUFFIX = ".verdict"
 _TMP_PREFIX = ".tmp-"
+
+# The one pickling contract for every persisted artefact: automata,
+# verdicts and the ledger snapshot all serialize through these two.
+PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+def dumps_artifact(obj: Any) -> bytes:
+    """Serialize a persisted artefact under the shared pickling contract."""
+    return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
+
+
+def loads_artifact(data: bytes) -> Any:
+    """Deserialize persisted bytes, mapping every decode failure to
+    :class:`WarmStateError` — callers never see raw pickle internals."""
+    try:
+        return pickle.loads(data)
+    except (
+        pickle.UnpicklingError,
+        EOFError,
+        AttributeError,
+        ImportError,
+        IndexError,
+        MemoryError,
+        TypeError,
+        ValueError,
+    ) as error:
+        raise WarmStateError(f"persisted artefact is not decodable: {error}") from error
 
 _DIGEST_LEN = 64
 _PAIR_KEY_LEN = 2 * _DIGEST_LEN + 1  # "<dA>-<dB>", digests are hex so '-' is unambiguous
@@ -158,9 +187,7 @@ class CompileStore:
             against power loss at a small latency cost; the default
             ``False`` still guarantees no *torn* entry, rename atomicity
             does not depend on it).
-        lookup_cache_size: bound of the in-process positive (WFA) cache.
-        negative_ttl: seconds a negative lookup is trusted (see module
-            docs).
+        negative_ttl: seconds a probe result is trusted (see module docs).
 
     Thread-safety: one handle may be shared by several engines/threads —
     cache and counter mutations are lock-guarded; file operations rely on
@@ -172,7 +199,6 @@ class CompileStore:
         root: str,
         max_bytes: Optional[int] = None,
         fsync: bool = False,
-        lookup_cache_size: int = 4096,
         negative_ttl: float = NEGATIVE_TTL_SECONDS,
     ):
         self.root = os.path.abspath(root)
@@ -181,15 +207,14 @@ class CompileStore:
         self.negative_ttl = float(negative_ttl)
         self._lock = threading.RLock()
         self._positive = LRUCache(
-            "compile-store.positive", maxsize=max(1, lookup_cache_size), register=False
+            "compile-store.positive", maxsize=LOOKUP_CACHE_SIZE, register=False
         )
-        self._negative: "OrderedDict[str, float]" = OrderedDict()
-        # Positive *presence* (key known on disk, payload not necessarily
-        # decoded): lets contains()/contains_many() answer repeat probes of
-        # present-but-unloaded entries without re-stat-ing — the planner's
-        # cost model probes every batch expression every plan.
-        self._present: "OrderedDict[str, float]" = OrderedDict()
-        self._negative_cap = max(16, 4 * lookup_cache_size)
+        # key → (present on disk, monotonic stamp).  Absence spares a batch
+        # re-stat-ing a missed path; presence (payload not necessarily
+        # decoded) lets contains_digests() answer repeat probes without a
+        # syscall — the planner's cost model probes every batch expression
+        # every plan.
+        self._probes: "OrderedDict[str, Tuple[bool, float]]" = OrderedDict()
         self._fingerprint: Optional[str] = None
         # Running per-process estimate of the fingerprint directory's size;
         # initialised lazily from the index, kept current by local
@@ -221,6 +246,8 @@ class CompileStore:
         return os.path.join(self.root, self.fingerprint)
 
     def _entry_path(self, key: str) -> str:
+        if key == _LEDGER_NAME:
+            return os.path.join(self._fingerprint_dir(), _LEDGER_NAME)
         suffix = _VERDICT_SUFFIX if len(key) == _PAIR_KEY_LEN else _ENTRY_SUFFIX
         return os.path.join(self._fingerprint_dir(), key[:2], key + suffix)
 
@@ -245,40 +272,26 @@ class CompileStore:
 
     # -- lookup -------------------------------------------------------------
 
-    def _negative_get(self, digest: str) -> bool:
-        entry = self._negative.get(digest)
+    def _probe_get(self, key: str) -> Optional[bool]:
+        """Whether ``key`` was recently seen present (``True``) or absent
+        (``False``) on disk; ``None`` when unknown or older than the TTL.
+        A stale "present" (another process evicted the entry) only
+        mis-prices one plan — get() still treats the vanished file as a
+        plain miss."""
+        entry = self._probes.get(key)
         if entry is None:
-            return False
-        if time.monotonic() - entry >= self.negative_ttl:
-            self._negative.pop(digest, None)
-            return False
-        return True
+            return None
+        present, stamp = entry
+        if time.monotonic() - stamp >= self.negative_ttl:
+            del self._probes[key]
+            return None
+        return present
 
-    def _negative_put(self, digest: str) -> None:
-        self._negative[digest] = time.monotonic()
-        self._negative.move_to_end(digest)
-        while len(self._negative) > self._negative_cap:
-            self._negative.popitem(last=False)
-        self._present.pop(digest, None)
-
-    def _present_get(self, key: str) -> bool:
-        # Presence is trusted for the same TTL as absence: another process
-        # may evict an entry, and a stale "present" only mis-prices one
-        # plan — get() still treats the vanished file as a plain miss.
-        entry = self._present.get(key)
-        if entry is None:
-            return False
-        if time.monotonic() - entry >= self.negative_ttl:
-            self._present.pop(key, None)
-            return False
-        return True
-
-    def _present_put(self, key: str) -> None:
-        self._present[key] = time.monotonic()
-        self._present.move_to_end(key)
-        while len(self._present) > self._negative_cap:
-            self._present.popitem(last=False)
-        self._negative.pop(key, None)
+    def _probe_put(self, key: str, present: bool) -> None:
+        self._probes[key] = (present, time.monotonic())
+        self._probes.move_to_end(key)
+        while len(self._probes) > _PROBE_CAP:
+            self._probes.popitem(last=False)
 
     def get(self, expr: Expr) -> Optional[WFA]:
         """The stored automaton of ``expr``, or ``None`` (a miss).
@@ -295,7 +308,7 @@ class CompileStore:
             if cached is not None:
                 self.hits += 1
                 return cached
-            if self._negative_get(digest):
+            if self._probe_get(digest) is False:
                 self.negative_hits += 1
                 self.misses += 1
                 return None
@@ -305,7 +318,7 @@ class CompileStore:
                 data = handle.read()
         except OSError:
             with self._lock:
-                self._negative_put(digest)
+                self._probe_put(digest, False)
                 self.misses += 1
             return None
         wfa = self._decode(data, digest, path)
@@ -315,13 +328,17 @@ class CompileStore:
                 self.misses += 1
                 return None
             self._positive.put(digest, wfa)
-            self._negative.pop(digest, None)
+            self._probes.pop(digest, None)
             self.hits += 1
         return wfa
 
-    def _decode(self, data: bytes, digest: str, path: str) -> Optional[WFA]:
-        """Validate one entry's bytes; ``None`` (and best-effort unlink) on
-        any defect — the silently-a-miss contract."""
+    def _decode_payload(
+        self, data: bytes, magic: str, key: str, path: str, kind: type
+    ) -> Any:
+        """The body of one entry's bytes if its header ``(magic, format,
+        fingerprint, key)`` checks out and the body is a ``kind``; ``None``
+        (and best-effort unlink) on any defect — the silently-a-miss
+        contract shared by every entry kind."""
         try:
             payload = loads_artifact(data)
         except WarmStateError:
@@ -329,11 +346,11 @@ class CompileStore:
         if (
             not isinstance(payload, tuple)
             or len(payload) != 5
-            or payload[0] != _MAGIC
+            or payload[0] != magic
             or payload[1] != STORE_FORMAT
             or payload[2] != self.fingerprint
-            or payload[3] != digest
-            or not isinstance(payload[4], WFA)
+            or payload[3] != key
+            or not isinstance(payload[4], kind)
         ):
             try:
                 os.unlink(path)
@@ -341,6 +358,9 @@ class CompileStore:
                 pass
             return None
         return payload[4]
+
+    def _decode(self, data: bytes, digest: str, path: str) -> Optional[WFA]:
+        return self._decode_payload(data, _MAGIC, digest, path, WFA)
 
     def contains(self, expr: Expr) -> bool:
         """Whether an entry for ``expr`` is (believed) present — the cheap
@@ -363,18 +383,17 @@ class CompileStore:
         unresolved = []
         with self._lock:
             for digest in digests:
-                if digest in self._positive or self._present_get(digest):
+                known = digest in self._positive or self._probe_get(digest)
+                if known:
                     present.add(digest)
-                elif not self._negative_get(digest):
+                elif known is None:
                     unresolved.append(digest)
         for digest in unresolved:
-            if os.path.exists(self._entry_path(digest)):
+            found = os.path.exists(self._entry_path(digest))
+            if found:
                 present.add(digest)
-                with self._lock:
-                    self._present_put(digest)
-            else:
-                with self._lock:
-                    self._negative_put(digest)
+            with self._lock:
+                self._probe_put(digest, found)
         return present
 
     # -- publish ------------------------------------------------------------
@@ -392,7 +411,7 @@ class CompileStore:
         if os.path.exists(self._entry_path(digest)):
             with self._lock:
                 self.publish_skipped += 1
-                self._present_put(digest)
+                self._probe_put(digest, True)
             return False
         data = dumps_artifact((_MAGIC, STORE_FORMAT, self.fingerprint, digest, wfa))
         if not self._write_entry(digest, data):
@@ -400,11 +419,8 @@ class CompileStore:
         with self._lock:
             self.publishes += 1
             self._positive.put(digest, wfa)
-            self._present_put(digest)
-            if self._bytes_estimate is not None:
-                self._bytes_estimate += len(data)
-        if self.max_bytes is not None and self._estimate_bytes() > self.max_bytes:
-            self.evict()
+            self._probe_put(digest, True)
+        self._account_write(len(data))
         return True
 
     def _write_entry(self, key: str, data: bytes) -> bool:
@@ -441,6 +457,15 @@ class CompileStore:
             return False
         return True
 
+    def _account_write(self, size: int) -> None:
+        """Grow the running byte estimate by one landed entry and enforce
+        ``max_bytes`` opportunistically."""
+        with self._lock:
+            if self._bytes_estimate is not None:
+                self._bytes_estimate += size
+        if self.max_bytes is not None and self._estimate_bytes() > self.max_bytes:
+            self.evict()
+
     def publish_many(self, items: Iterable[Tuple[Expr, WFA]]) -> int:
         """Publish a batch (e.g. a warm-back merge); returns entries written."""
         return sum(1 for expr, wfa in items if self.publish(expr, wfa))
@@ -456,7 +481,7 @@ class CompileStore:
             if cached is not None:
                 self.verdict_hits += 1
                 return cached
-            if self._negative_get(key):
+            if self._probe_get(key) is False:
                 self.negative_hits += 1
                 self.verdict_misses += 1
                 return None
@@ -466,7 +491,7 @@ class CompileStore:
                 data = handle.read()
         except OSError:
             with self._lock:
-                self._negative_put(key)
+                self._probe_put(key, False)
                 self.verdict_misses += 1
             return None
         result = self._decode_verdict(data, key, path)
@@ -476,32 +501,14 @@ class CompileStore:
                 self.verdict_misses += 1
                 return None
             self._positive.put(key, result)
-            self._negative.pop(key, None)
+            self._probes.pop(key, None)
             self.verdict_hits += 1
         return result
 
     def _decode_verdict(
         self, data: bytes, key: str, path: str
     ) -> Optional[EquivalenceResult]:
-        try:
-            payload = loads_artifact(data)
-        except WarmStateError:
-            payload = None
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 5
-            or payload[0] != _VERDICT_MAGIC
-            or payload[1] != STORE_FORMAT
-            or payload[2] != self.fingerprint
-            or payload[3] != key
-            or not isinstance(payload[4], EquivalenceResult)
-        ):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        return payload[4]
+        return self._decode_payload(data, _VERDICT_MAGIC, key, path, EquivalenceResult)
 
     def publish_verdict(
         self, digest_a: str, digest_b: str, result: EquivalenceResult
@@ -512,7 +519,7 @@ class CompileStore:
         if os.path.exists(self._entry_path(key)):
             with self._lock:
                 self.verdict_publish_skipped += 1
-                self._negative.pop(key, None)
+                self._probe_put(key, True)
             return False
         data = dumps_artifact((_VERDICT_MAGIC, STORE_FORMAT, self.fingerprint, key, result))
         if not self._write_entry(key, data):
@@ -520,11 +527,8 @@ class CompileStore:
         with self._lock:
             self.verdict_publishes += 1
             self._positive.put(key, result)
-            self._negative.pop(key, None)
-            if self._bytes_estimate is not None:
-                self._bytes_estimate += len(data)
-        if self.max_bytes is not None and self._estimate_bytes() > self.max_bytes:
-            self.evict()
+            self._probe_put(key, True)
+        self._account_write(len(data))
         return True
 
     def publish_verdicts(
@@ -536,6 +540,39 @@ class CompileStore:
             if self.publish_verdict(digest_a, digest_b, result)
         )
 
+    # -- verdict-ledger snapshot ---------------------------------------------
+
+    def get_ledger(self) -> Optional[Tuple[list, list]]:
+        """The exported verdict-ledger snapshot ``(classes, refutations)``
+        (the shape :meth:`VerdictLedger.snapshot` returns), or ``None``.
+        A torn, foreign or stale entry is a miss counted in
+        ``corrupt_skipped`` and best-effort removed, like any entry."""
+        path = self._entry_path(_LEDGER_NAME)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        snapshot = self._decode_payload(data, _LEDGER_MAGIC, _LEDGER_NAME, path, tuple)
+        if snapshot is None:
+            with self._lock:
+                self.corrupt_skipped += 1
+        return snapshot
+
+    def publish_ledger(self, classes: list, refutations: list) -> bool:
+        """Write the verdict-ledger snapshot, replacing any earlier one
+        (unlike automata and verdicts, a snapshot is not content-addressed:
+        the exporting engine merges the previous one in first).  ``True``
+        iff it landed."""
+        data = dumps_artifact(
+            (_LEDGER_MAGIC, STORE_FORMAT, self.fingerprint, _LEDGER_NAME,
+             (classes, refutations))
+        )
+        if not self._write_entry(_LEDGER_NAME, data):
+            return False
+        self._account_write(len(data))
+        return True
+
     # -- eviction -----------------------------------------------------------
 
     def _read_index(self) -> Dict[str, int]:
@@ -546,9 +583,9 @@ class CompileStore:
             with open(self._index_path(), "r") as handle:
                 for line in handle:
                     parts = line.split()
-                    if len(parts) != 2 or len(parts[0]) not in (
-                        _DIGEST_LEN,
-                        _PAIR_KEY_LEN,
+                    if len(parts) != 2 or (
+                        len(parts[0]) not in (_DIGEST_LEN, _PAIR_KEY_LEN)
+                        and parts[0] != _LEDGER_NAME
                     ):
                         continue  # torn or foreign line: skip, never raise
                     try:
@@ -603,7 +640,7 @@ class CompileStore:
                         total -= size
                         evicted += 1
                         self._positive.pop(digest)
-                        self._present.pop(digest, None)
+                        self._probes.pop(digest, None)
                     else:
                         keep.append((mtime, digest, size))
                 survivors = keep
@@ -632,7 +669,7 @@ class CompileStore:
     def invalidate_negative(self, keys: Optional[Iterable[str]] = None) -> int:
         """Forget recent *misses* so the next lookup re-probes the disk.
 
-        The negative cache trusts an absence for ``negative_ttl`` seconds —
+        The probe cache trusts an absence for ``negative_ttl`` seconds —
         correct for one engine polling its own store, but a coalesced batch
         may contain a pair whose verdict a sibling replica published
         *milliseconds ago*, right after this handle's plan-time probe cached
@@ -642,29 +679,27 @@ class CompileStore:
         off the store instead of being re-decided.
 
         ``keys`` may mix expression digests and verdict pair keys; ``None``
-        drops every negative entry.  Positive caches are untouched — they
-        can only become stale through eviction, which ``get`` already
-        handles as a plain miss.  Returns the number of entries dropped.
+        drops every absent entry.  Present entries and decoded artefacts
+        are untouched — they can only become stale through eviction, which
+        ``get`` already handles as a plain miss.  Returns the number of
+        entries dropped.
         """
         with self._lock:
-            if keys is None:
-                dropped = len(self._negative)
-                self._negative.clear()
-                return dropped
             dropped = 0
-            for key in keys:
-                if self._negative.pop(key, None) is not None:
+            for key in list(self._probes) if keys is None else keys:
+                entry = self._probes.get(key)
+                if entry is not None and not entry[0]:
+                    del self._probes[key]
                     dropped += 1
             return dropped
 
     def clear_lookup_cache(self) -> None:
-        """Drop the in-process positive/negative caches (the next reads go
+        """Drop the in-process artefact and probe caches (the next reads go
         to disk — used by tests and by replicas that want immediate
         visibility of another process's publishes)."""
         with self._lock:
             self._positive.clear()
-            self._negative.clear()
-            self._present.clear()
+            self._probes.clear()
 
     def stats(self) -> Dict[str, Any]:
         """JSON-friendly counters (the ``store`` section of engine stats)."""
@@ -693,23 +728,31 @@ class CompileStore:
         return f"CompileStore({self.root!r}, max_bytes={self.max_bytes})"
 
 
-def open_default_store() -> Optional[CompileStore]:
-    """The store named by ``REPRO_COMPILE_STORE``, or ``None``.
-
-    Engines constructed without an explicit ``store=`` consult this, so one
-    environment variable points a whole fleet of processes at one shared
-    store.  Opening touches no disk (see :class:`CompileStore`)."""
-    root = os.environ.get(ENV_STORE_ROOT)
-    return CompileStore(root) if root else None
-
-
 # -- ops CLI --------------------------------------------------------------------
 
 
+def _entry_kind(filename: str) -> Optional[str]:
+    """``"wfa"``, ``"verdict"`` or ``"ledger"`` for an entry file name;
+    ``None`` for the index, temp files and anything foreign."""
+    if filename == _LEDGER_NAME:
+        return "ledger"
+    if filename.endswith(_ENTRY_SUFFIX):
+        return "wfa"
+    if filename.endswith(_VERDICT_SUFFIX):
+        return "verdict"
+    return None
+
+
+_TOTALS = (
+    "entries", "bytes", "wfa_entries", "wfa_bytes",
+    "verdict_entries", "verdict_bytes", "ledger_bytes",
+)
+
+
 def describe_store(root: str) -> Dict[str, Any]:
-    """Inspect a store directory: per-fingerprint entry counts, bytes and
-    freshness against this process's pipeline — the directory analogue of
-    :func:`repro.engine.persist.describe_warm_state`.
+    """Inspect a store directory: per-fingerprint entry counts, bytes,
+    whether a verdict-ledger snapshot exists (and its size), and freshness
+    against this process's pipeline.
 
     This is the one read path allowed to *scan* (ops tooling, not the
     serving hot path).  Unreadable roots describe as empty rather than
@@ -720,12 +763,7 @@ def describe_store(root: str) -> Dict[str, Any]:
         "root": os.path.abspath(root),
         "current_fingerprint": current,
         "fingerprints": {},
-        "entries": 0,
-        "bytes": 0,
-        "wfa_entries": 0,
-        "wfa_bytes": 0,
-        "verdict_entries": 0,
-        "verdict_bytes": 0,
+        **dict.fromkeys(_TOTALS, 0),
         "tmp_files": 0,
     }
     try:
@@ -736,8 +774,8 @@ def describe_store(root: str) -> Dict[str, Any]:
         version_dir = os.path.join(root, version)
         if not os.path.isdir(version_dir):
             continue
-        counts = {_ENTRY_SUFFIX: 0, _VERDICT_SUFFIX: 0}
-        sizes = {_ENTRY_SUFFIX: 0, _VERDICT_SUFFIX: 0}
+        counts = {"wfa": 0, "verdict": 0, "ledger": 0}
+        sizes = dict(counts)
         indexed = 0
         for dirpath, _dirnames, filenames in os.walk(version_dir):
             for filename in filenames:
@@ -749,32 +787,28 @@ def describe_store(root: str) -> Dict[str, Any]:
                     with open(path) as handle:
                         indexed = sum(1 for _line in handle)
                     continue
-                for suffix in (_ENTRY_SUFFIX, _VERDICT_SUFFIX):
-                    if filename.endswith(suffix):
-                        counts[suffix] += 1
-                        try:
-                            sizes[suffix] += os.path.getsize(path)
-                        except OSError:
-                            pass
-                        break
-        entries = counts[_ENTRY_SUFFIX] + counts[_VERDICT_SUFFIX]
-        size = sizes[_ENTRY_SUFFIX] + sizes[_VERDICT_SUFFIX]
-        description["fingerprints"][version] = {
-            "entries": entries,
-            "bytes": size,
-            "wfa_entries": counts[_ENTRY_SUFFIX],
-            "wfa_bytes": sizes[_ENTRY_SUFFIX],
-            "verdict_entries": counts[_VERDICT_SUFFIX],
-            "verdict_bytes": sizes[_VERDICT_SUFFIX],
+                kind = _entry_kind(filename)
+                if kind is not None:
+                    counts[kind] += 1
+                    try:
+                        sizes[kind] += os.path.getsize(path)
+                    except OSError:
+                        pass
+        row = {
+            "entries": sum(counts.values()),
+            "bytes": sum(sizes.values()),
+            "wfa_entries": counts["wfa"],
+            "wfa_bytes": sizes["wfa"],
+            "verdict_entries": counts["verdict"],
+            "verdict_bytes": sizes["verdict"],
+            "ledger": counts["ledger"] > 0,
+            "ledger_bytes": sizes["ledger"],
             "indexed": indexed,
             "fresh": version == current,
         }
-        description["entries"] += entries
-        description["bytes"] += size
-        description["wfa_entries"] += counts[_ENTRY_SUFFIX]
-        description["wfa_bytes"] += sizes[_ENTRY_SUFFIX]
-        description["verdict_entries"] += counts[_VERDICT_SUFFIX]
-        description["verdict_bytes"] += sizes[_VERDICT_SUFFIX]
+        description["fingerprints"][version] = row
+        for key in _TOTALS:
+            description[key] += row[key]
     return description
 
 
@@ -786,13 +820,14 @@ def gc_store(
 ) -> Dict[str, Any]:
     """Garbage-collect a store directory.
 
-    Removes fingerprint directories of *other* pipeline versions (no
-    running replica of this pipeline can ever read them; ``drop_stale=False``
+    Removes fingerprint directories of *other* pipeline versions, ledger
+    snapshot included (no running replica of this pipeline can ever read
+    them; ``drop_stale=False``
     keeps them for fleets running mixed versions off one mount), deletes
     orphaned temp files older than ``tmp_age_seconds`` (young ones may be a
     live publisher's in-flight write), rebuilds the current fingerprint's
-    index from the actual entries (re-adopting any entry a crash left
-    unindexed), and finally enforces ``max_bytes`` through
+    index from the actual entries, ledger snapshot included (re-adopting
+    any entry a crash left unindexed), and finally enforces ``max_bytes`` through
     :meth:`CompileStore.evict`.
     """
     current = pipeline_fingerprint()
@@ -813,8 +848,6 @@ def gc_store(
         if not os.path.isdir(version_dir):
             continue
         if version != current and drop_stale:
-            import shutil
-
             shutil.rmtree(version_dir, ignore_errors=True)
             report["stale_fingerprints_removed"] += 1
             continue
@@ -836,12 +869,10 @@ def gc_store(
     if os.path.isdir(current_dir):
         for dirpath, _dirnames, filenames in os.walk(current_dir):
             for filename in filenames:
-                if filename.endswith(_ENTRY_SUFFIX):
-                    key = filename[: -len(_ENTRY_SUFFIX)]
-                elif filename.endswith(_VERDICT_SUFFIX):
-                    key = filename[: -len(_VERDICT_SUFFIX)]
-                else:
+                kind = _entry_kind(filename)
+                if kind is None:
                     continue
+                key = filename if kind == "ledger" else os.path.splitext(filename)[0]
                 try:
                     stat = os.stat(os.path.join(dirpath, filename))
                 except OSError:

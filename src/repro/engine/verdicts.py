@@ -200,7 +200,8 @@ class VerdictLedger:
     # -- persistence -------------------------------------------------------
 
     def snapshot(self):
-        """Deterministic ``(classes, refutations)`` pair for warm state.
+        """Deterministic ``(classes, refutations)`` pair for the store's
+        ledger snapshot (:meth:`repro.engine.NKAEngine.export_to_store`).
 
         Classes are the size-≥2 equivalence classes, members sorted by
         digest and classes by their root digest; refutations are

@@ -106,13 +106,13 @@ class TenantMetrics:
         self.batches = 0
         self.negative_invalidated = 0
 
-    def note_submitted(self) -> None:
+    def note_submitted(self, request_count: int = 1) -> None:
         with self._lock:
-            self.submitted += 1
+            self.submitted += request_count
 
-    def note_rejected(self) -> None:
+    def note_rejected(self, request_count: int = 1) -> None:
         with self._lock:
-            self.rejected += 1
+            self.rejected += request_count
 
     def note_batch(self, request_count: int) -> None:
         with self._lock:

@@ -125,7 +125,6 @@ class TenantConfig:
     store: Union[None, bool, str, Any] = False
     infer_verdicts: Optional[bool] = None
     start_method: Optional[str] = None
-    warm_state: Optional[str] = None
 
     def make_engine(self) -> NKAEngine:
         return NKAEngine(
@@ -134,10 +133,6 @@ class TenantConfig:
             result_capacity=self.result_capacity,
             workers=self.workers,
             start_method=self.start_method,
-            warm_state=self.warm_state,
-            # Serving survives a stale warm snapshot by starting cold; a
-            # hard failure at tenant-boot time helps nobody at 3am.
-            strict_warm_state=False,
             store=self.store,
             infer_verdicts=self.infer_verdicts,
         )
@@ -276,6 +271,26 @@ class NKAService:
             raise UnknownTenant(f"unknown tenant {name!r}")
         return tenant
 
+    def _admit(self, tenant_name: str, count: int) -> _Tenant:
+        """Admit ``count`` requests all-or-nothing and reserve their queue
+        slots; raises :class:`UnknownTenant`, :class:`ServiceClosed` or
+        :class:`TenantQuotaExceeded` (every refused request counted in
+        ``rejected``) before any engine work happens."""
+        if not self._started:
+            raise ServiceClosed("service not started")
+        tenant = self._tenant(tenant_name)
+        if self._closed:
+            raise ServiceClosed("service is draining; request not admitted")
+        tenant.metrics.note_submitted(count)
+        if tenant.depth + count > tenant.config.max_queue:
+            tenant.metrics.note_rejected(count)
+            raise TenantQuotaExceeded(
+                f"tenant {tenant_name!r} at capacity: {count} more request(s) "
+                f"would exceed {tenant.config.max_queue} in flight"
+            )
+        tenant.depth += count
+        return tenant
+
     async def equal_detailed(
         self, tenant_name: str, left: Expr, right: Expr
     ) -> EquivalenceResult:
@@ -286,21 +301,8 @@ class NKAService:
         request is guaranteed a verdict (or the batch's exception) even if
         the service closes meanwhile — close drains, it does not drop.
         """
-        if not self._started:
-            raise ServiceClosed("service not started")
-        tenant = self._tenant(tenant_name)
-        if self._closed:
-            raise ServiceClosed("service is draining; request not admitted")
-        tenant.metrics.note_submitted()
-        if tenant.depth >= tenant.config.max_queue:
-            tenant.metrics.note_rejected()
-            raise TenantQuotaExceeded(
-                f"tenant {tenant_name!r} at capacity "
-                f"({tenant.config.max_queue} requests in flight)"
-            )
-        loop = asyncio.get_running_loop()
-        request = PendingRequest(left, right, loop.create_future())
-        tenant.depth += 1
+        tenant = self._admit(tenant_name, 1)
+        request = PendingRequest(left, right, asyncio.get_running_loop().create_future())
         tenant.queue.put_nowait(request)
         return await request.future
 
@@ -310,18 +312,19 @@ class NKAService:
     async def equal_many_detailed(
         self, tenant_name: str, pairs: Sequence[Tuple[Expr, Expr]]
     ) -> List[EquivalenceResult]:
-        """Submit a client-side batch: one admission per pair, answered
-        together.  Each pair is an independent request to the coalescer —
-        a client batch and the same pairs sent concurrently one-by-one
-        take the identical path."""
-        return list(
-            await asyncio.gather(
-                *(
-                    self.equal_detailed(tenant_name, left, right)
-                    for left, right in pairs
-                )
-            )
-        )
+        """Submit a client-side batch, admitted as a whole or not at all: a
+        batch that does not fit the tenant's free queue slots is refused
+        before any pair reaches the engine.  Once admitted, each pair is an
+        independent request to the coalescer — a client batch and the same
+        pairs sent concurrently one-by-one take the identical path."""
+        tenant = self._admit(tenant_name, len(pairs))
+        loop = asyncio.get_running_loop()
+        futures = []
+        for left, right in pairs:
+            request = PendingRequest(left, right, loop.create_future())
+            tenant.queue.put_nowait(request)
+            futures.append(request.future)
+        return list(await asyncio.gather(*futures))
 
     async def _drain(self, tenant: _Tenant) -> None:
         """One tenant's request pump: collect → execute → resolve, forever.

@@ -44,6 +44,7 @@ from repro.engine.store import (
     STORE_FORMAT,
     CompileStore,
     describe_store,
+    dumps_artifact,
     gc_store,
 )
 from repro.engine.store import main as store_cli
@@ -144,7 +145,7 @@ class TestStoreSemantics:
         expr = _exprs(1)[0]
         store = CompileStore(root)
         digest = persist.expr_digest(expr)
-        payload = persist.dumps_artifact(
+        payload = dumps_artifact(
             ("nka-compile-store", STORE_FORMAT, "f" * 64, digest, _compile(expr))
         )
         path = store._entry_path(digest)
@@ -620,26 +621,46 @@ class TestOpsCli:
         store = CompileStore(root)
         for expr in _exprs(3, seed=4):
             store.publish(expr, _compile(expr))
-        # A stale pipeline version's directory, to be gc'd.
+        assert store.publish_ledger([], []) is True
+        # A stale pipeline version's directory, ledger included, to be gc'd.
         stale_dir = tmp_path / ("e" * 64) / "ab"
         stale_dir.mkdir(parents=True)
         (stale_dir / ("f" * 64 + ".wfa")).write_bytes(b"junk")
+        (tmp_path / ("e" * 64) / "ledger").write_bytes(b"junk")
+        # The index lost the ledger's line (a crash between rename and
+        # append): gc must re-adopt the entry, not drop it.
+        with open(store._index_path()) as handle:
+            lines = [line for line in handle if not line.startswith("ledger ")]
+        with open(store._index_path(), "w") as handle:
+            handle.writelines(lines)
 
         assert store_cli(["describe", root]) == 0
         description = json.loads(capsys.readouterr().out)
-        assert description["entries"] == 4
+        assert description["entries"] == 6
         fresh = description["fingerprints"][pipeline_fingerprint()]
         assert fresh["fresh"] is True
-        assert fresh["entries"] == 3
+        assert fresh["entries"] == 4
         assert fresh["indexed"] == 3
-        assert description["fingerprints"]["e" * 64]["fresh"] is False
+        assert fresh["ledger"] is True
+        assert fresh["ledger_bytes"] == os.path.getsize(
+            store._entry_path("ledger")
+        )
+        assert fresh["bytes"] == fresh["wfa_bytes"] + fresh["ledger_bytes"]
+        stale = description["fingerprints"]["e" * 64]
+        assert stale["fresh"] is False and stale["ledger"] is True
+        assert description["ledger_bytes"] == fresh["ledger_bytes"] + 4
 
         assert store_cli(["gc", root]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["stale_fingerprints_removed"] == 1
-        assert report["entries_reindexed"] == 3
+        assert report["entries_reindexed"] == 4
         assert store_cli(["describe", root]) == 0
-        assert json.loads(capsys.readouterr().out)["entries"] == 3
+        after = json.loads(capsys.readouterr().out)
+        assert after["entries"] == 4
+        assert after["fingerprints"][pipeline_fingerprint()]["ledger"] is True
+        assert list(after["fingerprints"]) == [pipeline_fingerprint()]
+        assert "ledger" in CompileStore(root)._read_index()
+        assert CompileStore(root).get_ledger() == ([], [])
 
     def test_cli_runs_as_module(self, tmp_path):
         """`python -m repro.engine.store` must work — and not spew the

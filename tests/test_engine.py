@@ -6,9 +6,10 @@ The contracts pinned here are the ones serving depends on:
 * the batch planner's dedupe/short-circuit/ordering gives verdicts
   byte-identical to the one-at-a-time sequential path, at every worker
   count (property test over the shared expression generator);
-* warm state round-trips — including into a *fresh process* — and answers
-  a known batch with zero compilations; stale-fingerprint state is
-  rejected cleanly;
+* warm start — export into a compile store, then mount it — round-trips,
+  including into a *fresh process*, and answers a known batch with zero
+  compilations; a store exported by another pipeline version is ignored
+  cleanly (cold start, no exception);
 * the refutation word stream is a constant-memory generator in BFS order
   (the old implementation materialised whole frontier levels).
 """
@@ -28,13 +29,12 @@ from repro.core.expr import Symbol, product_of
 from repro.core.parser import parse
 from repro.engine import (
     NKAEngine,
-    StaleWarmStateError,
-    WarmStateError,
+    describe_store,
+    persist,
     pipeline_fingerprint,
     plan_batch,
     words_up_to,
 )
-from repro.engine.persist import load_warm_state
 
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -42,6 +42,22 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 def _fresh_pairs(seed=101, count=40):
     return random_pairs(seed=seed, count=count, depth=3, equal_fraction=0.2)
+
+
+def _run_child(script):
+    """Run ``script`` in a fresh interpreter with the package and the test
+    helpers importable; returns the completed process (exit 0 asserted)."""
+    env = dict(os.environ)
+    env.pop("REPRO_COMPILE_STORE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, os.path.dirname(__file__), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out
 
 
 class TestSessionIsolation:
@@ -287,17 +303,18 @@ class TestWarmBack:
     def test_warm_state_after_parallel_batch_replays_in_fresh_process(
         self, monkeypatch, tmp_path
     ):
-        """save_warm_state after a pooled batch captures worker compiles."""
+        """export_to_store after a pooled batch captures worker compiles."""
         pairs = _fresh_pairs(seed=214, count=24)
         engine = self._pooled_engine_after_batch(monkeypatch, pairs)
+        root = str(tmp_path / "warmback-store")
         try:
-            path = str(tmp_path / "warmback-state.pickle")
-            engine.save_warm_state(path)
+            exported = engine.export_to_store(root)
         finally:
             engine.close()
+        assert exported["wfas"] == engine.stats()["warm_back"]["merged"] > 0
 
         # The child re-derives the *recombined* pairing, so the verdict
-        # cache alone cannot answer it — the warm-backed WFAs must.
+        # entries alone cannot answer it — the warm-backed WFAs must.
         script = (
             "from gen import random_pairs\n"
             "from repro.engine import NKAEngine, plan_batch\n"
@@ -305,112 +322,95 @@ class TestWarmBack:
             "plan = plan_batch(pairs, lambda left, right: None)\n"
             "exprs = sorted({e for t in plan.tasks for e in (t.left, t.right)},\n"
             "               key=str)\n"
-            f"engine = NKAEngine('child', warm_state={path!r})\n"
+            f"engine = NKAEngine('child', store={root!r})\n"
             "engine.equal_many(list(zip(exprs, exprs[1:])))\n"
             "assert engine.stats()['compilations'] == 0, 'child compiled!'\n"
             "print('ok')\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC, os.path.dirname(__file__), env.get("PYTHONPATH", "")]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
+        out = _run_child(script)
         assert out.stdout.strip() == "ok"
-
-    def test_warm_state_meta_records_warmback_provenance(self, monkeypatch):
-        pairs = _fresh_pairs(seed=215, count=40)
-        engine = self._pooled_engine_after_batch(monkeypatch, pairs)
-        try:
-            state = engine.warm_state()
-            assert state.meta["warmback_merged"] > 0
-            assert state.meta["parent_compilations"] == 0
-            assert state.meta["wfa_entries"] == state.meta["warmback_merged"]
-        finally:
-            engine.close()
 
 
 class TestWarmState:
+    """Warm start is a store mount: ``export_to_store`` then
+    ``NKAEngine(store=...)``."""
+
     def test_round_trip_same_process(self, tmp_path):
         pairs = _fresh_pairs(seed=31, count=30)
         source = NKAEngine("warm-src")
         expected = source.equal_many_detailed(pairs)
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
+        root = str(tmp_path / "store")
+        exported = source.export_to_store(root)
+        assert exported["wfas"] == source.compilations
+        assert exported["verdicts"] > 0 and exported["ledger"] is True
 
-        warmed = NKAEngine("warm-dst", warm_state=path)
+        warmed = NKAEngine("warm-dst", store=root)
         got = warmed.equal_many_detailed(pairs)
-        assert got == expected
+        assert pickle.dumps(got) == pickle.dumps(expected)
         stats = warmed.stats()
         assert stats["compilations"] == 0, "warm batch must not compile"
         assert stats["planner"]["tasks"] == 0
-        assert stats["warm_start"]["verdicts_loaded"] > 0
+        assert stats["verdicts"]["store_hits"] == exported["verdicts"]
 
     def test_round_trip_fresh_process(self, tmp_path):
         pairs = _fresh_pairs(seed=32, count=12)
         source = NKAEngine("warm-proc")
-        expected = [r.equal for r in source.equal_many_detailed(pairs)]
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
+        expected = source.equal_many_detailed(pairs)
+        root = str(tmp_path / "store")
+        source.export_to_store(root)
 
         script = (
-            "import sys\n"
+            "import pickle\n"
             "from gen import random_pairs\n"
             "from repro.engine import NKAEngine\n"
             "pairs = random_pairs(seed=32, count=12, depth=3, equal_fraction=0.2)\n"
-            f"engine = NKAEngine('child', warm_state={path!r})\n"
-            "verdicts = engine.equal_many(pairs)\n"
-            "assert engine.stats()['compilations'] == 0, 'child compiled!'\n"
-            "print(','.join(str(v) for v in verdicts))\n"
+            f"engine = NKAEngine('child', store={root!r})\n"
+            "verdicts = engine.equal_many_detailed(pairs)\n"
+            "stats = engine.stats()\n"
+            "assert stats['compilations'] == 0, 'child compiled!'\n"
+            "assert stats['planner']['tasks'] == 0, 'child planned tasks!'\n"
+            "print(pickle.dumps(verdicts).hex())\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC, os.path.dirname(__file__), env.get("PYTHONPATH", "")]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        child = [v == "True" for v in out.stdout.strip().split(",")]
-        assert child == expected
+        out = _run_child(script)
+        assert out.stdout.strip() == pickle.dumps(expected).hex()
 
-    def test_stale_fingerprint_rejected_cleanly(self, tmp_path):
+    def test_stale_fingerprint_rejected_cleanly(self, tmp_path, monkeypatch):
+        """A store exported by another pipeline version is not read: the
+        mounting engine starts cold, and nothing raises."""
+        pairs = _fresh_pairs(seed=33, count=12)
+        root = str(tmp_path / "store")
+        monkeypatch.setattr(persist, "_FINGERPRINT", "0" * 64)
         source = NKAEngine("stale-src")
-        source.equal(parse("a"), parse("a + 0"))
-        path = str(tmp_path / "state.pickle")
-        source.save_warm_state(path)
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
-        state.fingerprint = "0" * 64
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
+        expected = source.equal_many_detailed(pairs)
+        source.export_to_store(root)
+        monkeypatch.undo()
 
-        with pytest.raises(StaleWarmStateError):
-            NKAEngine("stale-strict", warm_state=path)
-        lax = NKAEngine("stale-lax", warm_state=path, strict_warm_state=False)
-        stats = lax.stats()["warm_start"]
-        assert stats["wfas_loaded"] == 0 and stats["verdicts_loaded"] == 0
+        cold = NKAEngine("stale-dst", store=root, infer_verdicts=True)
+        assert pickle.dumps(cold.equal_many_detailed(pairs)) == pickle.dumps(expected)
+        stats = cold.stats()
+        assert stats["compilations"] > 0
+        assert stats["store"]["hits"] == stats["store"]["verdict_hits"] == 0
+        assert stats["store"]["corrupt_skipped"] == 0
+        assert describe_store(root)["fingerprints"]["0" * 64]["fresh"] is False
 
-    def test_corrupt_state_raises_warm_state_error(self, tmp_path):
-        path = tmp_path / "junk.pickle"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(WarmStateError):
-            load_warm_state(str(path))
+    def test_corrupt_ledger_entry_is_a_miss(self, tmp_path):
+        p, q, r, t = (Symbol(name) for name in "pqrt")
+        a, b, c = (p * q) * (r * t), p * (q * (r * t)), ((p * q) * r) * t
+        source = NKAEngine("ledger-src", infer_verdicts=True)
+        source.equal(a, b), source.equal(b, c)
+        root = str(tmp_path / "store")
+        source.export_to_store(root)
+        ledger = os.path.join(root, pipeline_fingerprint(), "ledger")
+        with open(ledger, "r+b") as handle:
+            handle.truncate(os.path.getsize(ledger) // 2)  # torn write
 
-    def test_in_memory_state_fingerprint_checked_too(self):
-        """A WarmState object (RPC, caller-unpickled) is vetted like a file."""
-        source = NKAEngine("mem-src")
-        source.equal(parse("a"), parse("a + 0"))
-        state = source.warm_state()
-        state.fingerprint = "f" * 64
-        with pytest.raises(StaleWarmStateError):
-            NKAEngine("mem-strict", warm_state=state)
-        lax = NKAEngine("mem-lax", warm_state=state, strict_warm_state=False)
-        assert lax.stats()["warm_start"]["verdicts_loaded"] == 0
+        mounted = NKAEngine("ledger-dst", store=root, infer_verdicts=True)
+        result = mounted.equal_detailed(a, c)  # the ledger alone would infer it
+        assert result.equal and not result.reason.startswith("inferred:")
+        stats = mounted.stats()
+        assert stats["store"]["corrupt_skipped"] == 1
+        assert stats["decisions"] == 1 and stats["compilations"] == 0
+        assert not os.path.exists(ledger), "corrupt entry must be removed"
 
     def test_custom_semiring_pickle_contract(self):
         """Unregistered specs refuse to pickle; registered ones round-trip."""

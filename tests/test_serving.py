@@ -229,6 +229,30 @@ class TestAdmission:
 
         asyncio.run(scenario())
 
+    def test_oversized_client_batch_is_refused_whole(self):
+        """A client batch larger than the free queue slots is refused before
+        any pair reaches the engine — none is decided and then discarded."""
+        pairs = _pairs(seed=924, count=5)
+
+        async def scenario():
+            config = TenantConfig(
+                "t", max_queue=4, max_batch=8, coalesce_window=0.01
+            )
+            service = await NKAService([config]).start()
+            try:
+                with pytest.raises(TenantQuotaExceeded):
+                    await service.equal_many_detailed("t", pairs)
+                stats = service.stats()["tenants"]["t"]
+            finally:
+                await service.close()
+            return stats, service.engine("t").stats()
+
+        stats, engine_stats = asyncio.run(scenario())
+        assert stats["rejected"] == len(pairs)
+        assert stats["completed"] == 0
+        assert engine_stats["decisions"] == 0
+        assert engine_stats["compilations"] == 0
+
     def test_flooding_tenant_does_not_starve_neighbour(self):
         flood_pairs = _pairs(seed=922, count=16)
         quiet_pairs = _pairs(seed=923, count=4)

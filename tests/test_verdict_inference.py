@@ -12,8 +12,8 @@ operationalises this, and the :class:`~repro.engine.store.CompileStore`'s
 * the engine wiring — inferred-equal answers with zero compiles and zero
   Tzeng runs, inferred-refuted answers whose transferred witness is
   byte-identical to a direct decision's, the ``REPRO_VERDICT_INFER`` /
-  ``configure(infer_verdicts=...)`` toggles, and warm-state round-trips of
-  the union–find;
+  ``configure(infer_verdicts=...)`` toggles, and round-trips of the
+  union–find through a store export;
 * the store tier — verdict entries evicting under the same byte budget as
   WFAs, corruption-as-miss, ``contains_digests`` batching, the
   ``describe`` split, and pool workers serving whole verdicts.
@@ -196,21 +196,36 @@ class TestEngineInference:
         tail = a * sym("warm-tail")
         warm = NKAEngine("warm-src", infer_verdicts=True)
         warm.equal(a, b), warm.equal(b, c), warm.equal(a, tail)
-        path = str(tmp_path / "warm.pickle")
-        warm.save_warm_state(path)
+        root = str(tmp_path / "store")
+        assert warm.export_to_store(root)["ledger"] is True
+        assert describe_store(root)["fingerprints"][pipeline_fingerprint()]["ledger"]
 
-        fresh = NKAEngine("warm-dst", infer_verdicts=True, warm_state=path)
-        stats = fresh.stats()["warm_start"]
-        assert stats["classes_loaded"] == 1
-        assert stats["refutations_loaded"] == 1
-        # Starve the verdict cache so only the restored ledger can answer.
-        fresh.configure(result_capacity=8192)
-        fresh._results.clear()
+        fresh = NKAEngine("warm-dst", infer_verdicts=True, store=root)
+        # Neither pair was decided at the source, so neither has a verdict
+        # entry: only the restored ledger can answer them.
         result = fresh.equal_detailed(a, c)
         assert result.reason == INFERRED_EQUAL_REASON
         refuted = fresh.equal_detailed(c, tail)
         assert refuted.reason.startswith("inferred:")
-        assert fresh.stats()["decisions"] == 0
+        stats = fresh.stats()
+        assert stats["decisions"] == 0
+        assert stats["verdicts"]["classes"] == 1
+        assert stats["verdicts"]["refuted_pairs"] == 1
+
+    def test_export_merges_the_stored_ledger(self, tmp_path):
+        """Re-exporting from an engine that never consulted the ledger must
+        not shrink the snapshot an earlier export wrote."""
+        a, b, c = _assoc_family(3, seed=25)
+        root = str(tmp_path / "store")
+        first = NKAEngine("ledger-first", infer_verdicts=True)
+        first.equal(a, b), first.equal(b, c)
+        first.export_to_store(root)
+        second = NKAEngine("ledger-second", store=root)  # inference off
+        second.equal(a, sym("other"))
+        second.export_to_store(root)
+        third = NKAEngine("ledger-third", infer_verdicts=True, store=root)
+        assert third.equal_detailed(a, c).reason == INFERRED_EQUAL_REASON
+        assert third.stats()["decisions"] == 0
 
     def test_ledger_section_in_stats_json(self):
         import json
